@@ -28,12 +28,12 @@
 
 #include "BenchCommon.h"
 
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "service/Service.h"
 
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 using namespace sest;
 using namespace sest::bench;
@@ -197,8 +197,7 @@ int main(int argc, char **argv) {
   if (BatchSize == 0)
     BatchSize = 1;
   ColdRequests = std::min(ColdRequests, Requests);
-  unsigned ResolvedJobs =
-      Jobs ? Jobs : std::max(1u, std::thread::hardware_concurrency());
+  unsigned ResolvedJobs = obs::parallelWorkers(Jobs, BatchSize);
 
   out("== Service throughput: cold vs warm over a zipfian request mix "
       "==\n\n");

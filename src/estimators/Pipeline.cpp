@@ -6,12 +6,8 @@
 
 #include "estimators/Pipeline.h"
 
-#include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
-
-#include <atomic>
-#include <memory>
-#include <thread>
 
 using namespace sest;
 
@@ -66,40 +62,8 @@ IntraEstimates sest::computeIntraEstimates(
     }
   };
 
-  unsigned Jobs = Options.Jobs == 0
-                      ? std::max(1u, std::thread::hardware_concurrency())
-                      : Options.Jobs;
-  if (Jobs <= 1 || All.size() <= 1) {
-    for (size_t I = 0; I < All.size(); ++I)
-      EstimateOne(I);
-    return Out;
-  }
-
-  // Functions are independent: fan them over a worker pool. Each task
-  // collects into private contexts (telemetry on a per-worker trace
-  // track, plus the decision log); contexts are merged into the ambient
-  // ones in function order, so counters, histograms, logged events, and
-  // the phase tree are identical to a serial run whatever the job
-  // count. With no ambient context TaskCapture skips the private
-  // contexts so parallelism stays free.
-  obs::TaskCapture Cap;
-  std::vector<obs::TaskCapture::Slot> Slots(All.size());
-  std::atomic<size_t> Next{0};
-  auto Worker = [&](uint32_t Track) {
-    std::string Name = "worker-" + std::to_string(Track);
-    for (size_t I; (I = Next.fetch_add(1)) < All.size();)
-      Cap.run(Slots[I], Track, Name, [&] { EstimateOne(I); });
-  };
-  std::vector<std::thread> Pool;
-  unsigned N = static_cast<unsigned>(
-      std::min<size_t>(Jobs, All.size()));
-  Pool.reserve(N);
-  for (unsigned I = 0; I < N; ++I)
-    Pool.emplace_back(Worker, I + 1);
-  for (std::thread &T : Pool)
-    T.join();
-  for (obs::TaskCapture::Slot &S : Slots)
-    Cap.merge(S);
+  // Functions are independent; the estimate is identical for every Jobs.
+  obs::parallelFor(Options.Jobs, All.size(), EstimateOne);
   return Out;
 }
 

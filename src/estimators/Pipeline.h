@@ -39,9 +39,8 @@ struct EstimatorOptions {
   InterEstimatorConfig Inter_;
   /// Markov-intra repair knobs.
   MarkovIntraConfig MarkovIntra_;
-  /// Worker threads for per-function estimation (branch prediction +
-  /// intra solves are independent across functions). 1 = serial,
-  /// 0 = hardware_concurrency. Results are identical for every value.
+  /// Worker threads across functions (obs::parallelFor: 0 = one per
+  /// core, 1 = serial). Results are identical for every value.
   unsigned Jobs = 1;
 
   /// Keeps the shared loop count consistent across sub-configs.

@@ -36,7 +36,6 @@
 #include "obs/Telemetry.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -173,70 +172,6 @@ inline std::string provProgram(std::string_view Program) {
 inline std::string provRequest(uint64_t Ordinal) {
   return "req:" + std::to_string(Ordinal);
 }
-
-//===----------------------------------------------------------------------===//
-// TaskCapture — shared worker-context plumbing for the parallel pools.
-//===----------------------------------------------------------------------===//
-
-/// Captures the ambient Telemetry and EventLog once on the spawning
-/// thread, runs each task under private per-task contexts (telemetry
-/// tagged with a per-worker track), and merges results back in task
-/// order. One helper so the suite runner, estimation pipeline, and
-/// optimizer report pools all observe identically.
-class TaskCapture {
-public:
-  TaskCapture()
-      : AmbientT(Telemetry::active()), AmbientE(EventLog::active()) {}
-
-  /// Whether any ambient context wants task-level capture at all.
-  bool wanted() const { return AmbientT || AmbientE; }
-
-  /// The private contexts of one task, merged later via merge().
-  struct Slot {
-    std::unique_ptr<Telemetry> T;
-    std::unique_ptr<EventLog> E;
-  };
-
-  /// Runs \p F under fresh contexts stored into \p S. \p Track tags the
-  /// telemetry with a worker timeline (0 keeps the main track, so the
-  /// serial path stays on a single stable track).
-  template <typename Fn>
-  void run(Slot &S, uint32_t Track, std::string_view TrackName,
-           Fn &&F) const {
-    if (!wanted()) {
-      F();
-      return;
-    }
-    if (AmbientT) {
-      S.T = std::make_unique<Telemetry>();
-      if (Track)
-        S.T->setTrack(Track, TrackName);
-      S.T->install();
-    }
-    if (AmbientE) {
-      S.E = std::make_unique<EventLog>();
-      S.E->install();
-    }
-    F();
-    if (S.E)
-      S.E->uninstall();
-    if (S.T)
-      S.T->uninstall();
-  }
-
-  /// Folds one task's contexts into the ambient ones. Call from the
-  /// spawning thread, in task order.
-  void merge(Slot &S) const {
-    if (AmbientT && S.T)
-      AmbientT->mergeFrom(*S.T);
-    if (AmbientE && S.E)
-      AmbientE->mergeFrom(*S.E);
-  }
-
-private:
-  Telemetry *AmbientT;
-  EventLog *AmbientE;
-};
 
 } // namespace sest::obs
 

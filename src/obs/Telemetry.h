@@ -133,9 +133,10 @@ public:
   static Telemetry *active() { return detail::Active; }
 
   /// Assigns every span this context records to trace track \p Id
-  /// (0 = the main track). Per-task contexts in the parallel pools set
-  /// a 1-based worker track before running so merged traces keep one
-  /// timeline per worker; \p Name labels the track in trace viewers.
+  /// (0 = the main track). obs::parallelFor's per-task contexts use
+  /// their worker's 1-based track, so merged traces keep one timeline
+  /// per worker; \p Name labels the track in trace viewers (unnamed
+  /// tracks render as `worker-N`).
   void setTrack(uint32_t Id, std::string_view Name = {});
   uint32_t track() const { return Track; }
   /// Track labels known to this context (unioned by mergeFrom()).
@@ -164,8 +165,8 @@ public:
   /// tree is grafted under the innermost currently-open phase (nodes
   /// with the same name merge, preserving first-seen order), and its
   /// trace events are appended with timestamps remapped onto this
-  /// context's epoch. \p Other must have no open phases. Used by the
-  /// parallel suite runner to merge per-run contexts deterministically.
+  /// context's epoch. \p Other must have no open phases. obs::parallelFor
+  /// merges its per-task contexts with it, in task order.
   void mergeFrom(const Telemetry &Other);
 
   //===--------------------------------------------------------------------===//

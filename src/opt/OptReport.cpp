@@ -9,17 +9,15 @@
 #include "backend/Backend.h"
 #include "backend/Native.h"
 #include "interp/bytecode/BytecodeCompiler.h"
-#include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <memory>
 #include <set>
-#include <thread>
 #include <tuple>
 
 using namespace sest;
@@ -77,23 +75,6 @@ uint32_t reorderedFunctions(const ProgramLayout &L) {
     if (!F.Order.empty() && !F.isIdentity())
       ++N;
   return N;
-}
-
-/// Bitwise profile identity — the same predicate the engine
-/// differential tests use (any drift is a lowering bug, not noise).
-bool profilesIdentical(const Profile &A, const Profile &B) {
-  if (A.Functions.size() != B.Functions.size() ||
-      A.CallSiteCounts != B.CallSiteCounts ||
-      A.TotalCycles != B.TotalCycles)
-    return false;
-  for (size_t I = 0; I < A.Functions.size(); ++I) {
-    const FunctionProfile &FA = A.Functions[I];
-    const FunctionProfile &FB = B.Functions[I];
-    if (FA.EntryCount != FB.EntryCount ||
-        FA.BlockCounts != FB.BlockCounts || FA.ArcCounts != FB.ArcCounts)
-      return false;
-  }
-  return true;
 }
 
 /// MeasureNative: compile the identity-layout and static-layout native
@@ -188,8 +169,7 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   const TranslationUnit &Unit = CSP.unit();
 
   // Weight sources: static pipeline, first profile, held-out aggregate.
-  EstimatorOptions Est = Options.Est;
-  Est.Jobs = 1; // Parallelism is across programs.
+  const EstimatorOptions &Est = Options.Est;
   const ProgramEstimate Estimate =
       estimateProgram(Unit, *CSP.Cfgs, *CSP.CG, Est);
   const WeightSource WStatic =
@@ -357,39 +337,11 @@ OptSuiteReport sest::opt::computeOptReport(
     if (P.Spec)
       Scored.push_back(&P);
 
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-
   OptSuiteReport Report;
   Report.Programs.resize(Scored.size());
-  if (Jobs <= 1 || Scored.size() <= 1) {
-    for (size_t I = 0; I < Scored.size(); ++I)
-      Report.Programs[I] = scoreProgram(*Scored[I], Options);
-  } else {
-    // Per-program private contexts (telemetry on a per-worker trace
-    // track, plus the decision log) merged back in program order, so
-    // the ambient report is identical for every job count.
-    obs::TaskCapture Cap;
-    std::vector<obs::TaskCapture::Slot> Slots(Scored.size());
-    std::atomic<size_t> Next{0};
-    auto Worker = [&](uint32_t Track) {
-      std::string Name = "worker-" + std::to_string(Track);
-      for (size_t I; (I = Next.fetch_add(1)) < Scored.size();)
-        Cap.run(Slots[I], Track, Name, [&] {
-          Report.Programs[I] = scoreProgram(*Scored[I], Options);
-        });
-    };
-    std::vector<std::thread> Pool;
-    const unsigned N = std::min<size_t>(Jobs, Scored.size());
-    Pool.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Pool.emplace_back(Worker, I + 1);
-    for (std::thread &T : Pool)
-      T.join();
-    for (obs::TaskCapture::Slot &S : Slots)
-      Cap.merge(S);
-  }
+  obs::parallelFor(Options.Jobs, Scored.size(), [&](size_t I) {
+    Report.Programs[I] = scoreProgram(*Scored[I], Options);
+  });
 
   // Suite aggregation.
   size_t JaccardCount = 0;

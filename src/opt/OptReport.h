@@ -51,8 +51,8 @@ struct OptReportOptions {
   LayoutOptions Layout;
   InlineOptions Inline;
   InterpEngine Engine = InterpEngine::Bytecode;
-  /// Worker threads across programs (1 = serial, 0 = all cores).
-  /// Results are byte-identical for every value.
+  /// Worker threads across programs (obs::parallelFor: 0 = one per
+  /// core, 1 = serial). Results are byte-identical for every value.
   unsigned Jobs = 1;
   /// Advisory floor on the suite static recovery ratio.
   double StaticRecoveryFloor = 0.8;

@@ -45,6 +45,12 @@ bool Profile::shapeMatches(const Profile &Other) const {
   return true;
 }
 
+bool sest::profilesIdentical(const Profile &A, const Profile &B) {
+  return A.Functions == B.Functions &&
+         A.CallSiteCounts == B.CallSiteCounts &&
+         A.TotalCycles == B.TotalCycles;
+}
+
 Profile sest::aggregateProfiles(const std::vector<const Profile *> &Profiles) {
   assert(!Profiles.empty() && "cannot aggregate zero profiles");
 

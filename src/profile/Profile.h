@@ -36,6 +36,8 @@ struct FunctionProfile {
 
   /// Sum of all block counts.
   double totalBlockCount() const;
+
+  bool operator==(const FunctionProfile &) const = default;
 };
 
 /// One program execution (or an aggregate of several).
@@ -58,6 +60,10 @@ struct Profile {
   /// match, i.e. the profiles come from the same program build.
   bool shapeMatches(const Profile &Other) const;
 };
+
+/// Bitwise identity of two runs' counts and cycle totals: what engines
+/// and layouts must reproduce exactly (any drift is a bug, not noise).
+bool profilesIdentical(const Profile &A, const Profile &B);
 
 /// Aggregates \p Profiles (all from the same program): each profile is
 /// scaled so its total block count equals the common target (the mean of

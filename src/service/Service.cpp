@@ -15,6 +15,7 @@
 #include "metrics/Evaluation.h"
 #include "obs/EventLog.h"
 #include "obs/Export.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "opt/Inline.h"
 #include "opt/Layout.h"
@@ -24,9 +25,8 @@
 #include "support/Json.h"
 #include "tune/Tune.h"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
+#include <cmath>
 
 using namespace sest;
 using namespace sest::service;
@@ -229,6 +229,23 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
   return true;
 }
 
+/// Reads the optional field \p Key into \p Out, rejecting anything but an
+/// integer in [Lo, Hi) (a plain cast would wrap or be undefined).
+bool readIntegerField(const JsonValue &Doc, const char *Key, double Lo,
+                      double Hi, const char *Range, uint64_t &Out,
+                      std::string &Error) {
+  const JsonValue *V = Doc.find(Key);
+  if (!V)
+    return true;
+  if (!V->isNumber() || !(V->NumberVal >= Lo && V->NumberVal < Hi) ||
+      V->NumberVal != std::floor(V->NumberVal)) {
+    Error = std::string(Key) + " must be an integer in " + Range;
+    return false;
+  }
+  Out = static_cast<uint64_t>(V->NumberVal);
+  return true;
+}
+
 Request parseRequest(const std::string &Line) {
   Request R;
   std::optional<JsonValue> Doc = parseJson(Line);
@@ -291,8 +308,9 @@ Request parseRequest(const std::string &Line) {
   }
   if (const JsonValue *I = Doc->find("input"); I && I->isString())
     R.Input = I->StringVal;
-  if (const JsonValue *S = Doc->find("seed"); S && S->isNumber())
-    R.Seed = static_cast<uint64_t>(S->NumberVal);
+  if (!readIntegerField(*Doc, "seed", 0.0, 0x1p64, "[0, 2^64)", R.Seed,
+                        R.Error))
+    return R;
   if (const JsonValue *E = Doc->find("engine")) {
     if (!E->isString() || (E->StringVal != "ast" &&
                            E->StringVal != "bytecode" &&
@@ -309,13 +327,11 @@ Request parseRequest(const std::string &Line) {
       R.Error = "tune engine must be 'ast' or 'bytecode'";
       return R;
     }
-    if (const JsonValue *B = Doc->find("budget")) {
-      if (!B->isNumber() || B->NumberVal < 1.0) {
-        R.Error = "budget must be a number >= 1";
-        return R;
-      }
-      R.Budget = static_cast<uint32_t>(B->NumberVal);
-    }
+    uint64_t Budget = R.Budget;
+    if (!readIntegerField(*Doc, "budget", 1.0, 0x1p32, "[1, 2^32)", Budget,
+                          R.Error))
+      return R;
+    R.Budget = static_cast<uint32_t>(Budget);
     if (const JsonValue *O = Doc->find("oracles")) {
       if (!O->isString()) {
         R.Error = "'oracles' must be a comma-separated string";
@@ -489,14 +505,8 @@ getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg,
   std::shared_ptr<ProgramEstimate> A;
   {
     obs::ScopedPhase Phase("service.build.solve");
-    // Per-function parallelism stays off inside the service: the
-    // service parallelizes across requests, and nested pools would
-    // oversubscribe the batch workers.
-    EstimatorOptions Est = Opts.Est;
-    Est.Jobs = 1;
-    A = std::make_shared<ProgramEstimate>(
-        estimateProgram(Cfg.Ast->Ctx.unit(), Cfg.Cfgs, Cfg.CG, Est,
-                        &Branch));
+    A = std::make_shared<ProgramEstimate>(estimateProgram(
+        Cfg.Ast->Ctx.unit(), Cfg.Cfgs, Cfg.CG, Opts.Est, &Branch));
   }
   size_t Bytes = estimateBytes(*A);
   logCacheEvent(R, "solve", false, Bytes);
@@ -1126,60 +1136,18 @@ Service::handleBatch(const std::vector<std::string> &Lines) {
            obs::attr("queue_depth", static_cast<double>(Lines.size()))});
   }
 
-  unsigned Jobs = Opts.Jobs == 0
-                      ? std::max(1u, std::thread::hardware_concurrency())
-                      : Opts.Jobs;
-  if (Jobs <= 1 || Lines.size() <= 1) {
-    for (size_t I = 0; I < Lines.size(); ++I)
-      Out[I] = handleParsed(Reqs[I]);
-    return Out;
-  }
-
-  // The suite runner's pool shape: workers pull the next request index,
-  // each task collects telemetry/events into private contexts on its
-  // worker's trace track, and contexts merge back in request order —
-  // so the merged report is independent of scheduling. Control ops
-  // (stats/metrics/health/shutdown) split the batch: they run on this
-  // thread after the preceding sub-batch has fully merged, so their
-  // answers see exactly the requests that preceded them in the stream,
+  // Control ops (stats/metrics/health/shutdown) split the batch: each
+  // runs alone on this thread once everything before it has merged, so
+  // its answer sees exactly the requests that preceded it in the stream,
   // at every Jobs value.
-  auto RunParallel = [&](size_t Begin, size_t End) {
-    obs::TaskCapture Cap;
-    std::vector<obs::TaskCapture::Slot> Slots(End - Begin);
-    std::atomic<size_t> Next{Begin};
-    auto Worker = [&](uint32_t Track) {
-      std::string Name = "service-" + std::to_string(Track);
-      for (size_t I; (I = Next.fetch_add(1)) < End;)
-        Cap.run(Slots[I - Begin], Track, Name,
-                [&] { Out[I] = handleParsed(Reqs[I]); });
-    };
-    std::vector<std::thread> Pool;
-    unsigned N =
-        static_cast<unsigned>(std::min<size_t>(Jobs, End - Begin));
-    Pool.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Pool.emplace_back(Worker, I + 1);
-    for (std::thread &T : Pool)
-      T.join();
-    for (obs::TaskCapture::Slot &S : Slots)
-      Cap.merge(S);
-  };
-
-  size_t Start = 0;
-  while (Start < Lines.size()) {
-    if (isControlOp(Reqs[Start])) {
-      Out[Start] = handleParsed(Reqs[Start]);
-      ++Start;
-      continue;
-    }
-    size_t End = Start;
-    while (End < Lines.size() && !isControlOp(Reqs[End]))
-      ++End;
-    if (End - Start == 1)
-      Out[Start] = handleParsed(Reqs[Start]);
-    else
-      RunParallel(Start, End);
-    Start = End;
+  for (size_t Start = 0, End; Start < Lines.size(); Start = End) {
+    End = Start + 1;
+    if (!isControlOp(Reqs[Start]))
+      while (End < Lines.size() && !isControlOp(Reqs[End]))
+        ++End;
+    obs::parallelFor(Opts.Jobs, End - Start, [&](size_t I) {
+      Out[Start + I] = handleParsed(Reqs[Start + I]);
+    });
   }
   return Out;
 }

@@ -77,8 +77,8 @@ struct Request; // One decoded request line (Service.cpp).
 
 /// Service configuration.
 struct ServiceOptions {
-  /// Worker threads per batch (1 = serial, 0 = hardware_concurrency).
-  /// Responses are byte-identical for every value.
+  /// Worker threads per batch (obs::parallelFor: 0 = one per core,
+  /// 1 = serial). Responses are byte-identical for every value.
   unsigned Jobs = 1;
   /// Total cache byte budget, split evenly across the seven tiers
   /// (0 disables memoization entirely — every request recomputes).
@@ -112,10 +112,8 @@ public:
   /// response.
   std::string handle(const std::string &Line);
 
-  /// Handles a batch: requests execute concurrently on Jobs workers,
-  /// responses come back in request order. Per-task telemetry and event
-  /// logs are captured via obs::TaskCapture and merged in task order,
-  /// exactly like the suite runner's pool.
+  /// Handles a batch: requests run through obs::parallelFor on up to
+  /// Jobs workers, and responses come back in request order.
   std::vector<std::string> handleBatch(const std::vector<std::string> &Lines);
 
   /// True once a shutdown request has been acknowledged; the driver

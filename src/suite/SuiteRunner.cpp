@@ -8,14 +8,12 @@
 
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "interp/bytecode/BytecodeVM.h"
-#include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
 
 using namespace sest;
 
@@ -146,10 +144,11 @@ sest::compileAndProfileSuite(const InterpOptions &Options, unsigned Jobs) {
     prepareEngine(Out.back(), Options);
   }
 
-  // Fan the (program, input) runs out over a small thread pool. Every
-  // run collects into private per-task contexts (TaskCapture) so worker
-  // threads never touch the ambient ones; each worker gets its own
-  // trace track so --trace shows real per-worker timelines.
+  // The (program, input) runs, folded back in input order. A failing
+  // input ends its program like compileAndProfileProgram: its later
+  // inputs never run on the serial path, and on the parallel path their
+  // results and telemetry are dropped, so the report is independent of
+  // the job count.
   struct Task {
     size_t Prog;
     const ProgramInput *Input;
@@ -160,64 +159,37 @@ sest::compileAndProfileSuite(const InterpOptions &Options, unsigned Jobs) {
       for (const ProgramInput &Input : Out[I].Spec->Inputs)
         Tasks.push_back({I, &Input});
 
-  std::vector<RunOutcome> Results(Tasks.size());
-  obs::TaskCapture Cap;
-  std::vector<obs::TaskCapture::Slot> Slots(Tasks.size());
-
-  auto RunTask = [&](size_t I, uint32_t Track,
-                     std::string_view TrackName) {
-    Cap.run(Slots[I], Track, TrackName, [&] {
-      obs::ScopedPhase TaskPhase("suite.task",
-                                 Out[Tasks[I].Prog].Spec->Name + "/" +
-                                     Tasks[I].Input->Name);
-      Results[I] = timedRun(Out[Tasks[I].Prog], *Tasks[I].Input, Options);
-      // Worker busy time: the _us suffix marks it timing-valued, so the
-      // serial/parallel counter-equality contract skips its value.
-      obs::counterAdd("suite.pool.busy_us", Results[I].WallMs * 1000.0);
-      obs::histRecord("suite.pool.task_us", Results[I].WallMs * 1000.0);
-    });
-  };
-
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
   // Pool shape metrics, emitted identically by the serial and parallel
   // paths (only the worker gauge value differs; gauges are not part of
   // the serial/parallel equality contract).
   obs::counterAdd("suite.pool.tasks", static_cast<double>(Tasks.size()));
   obs::gaugeMax("suite.pool.queue_depth.high_water",
                 static_cast<double>(Tasks.size()));
-  if (Jobs <= 1 || Tasks.size() <= 1) {
-    obs::gaugeMax("suite.pool.workers", 1.0);
-    // Serial: run on the spawning thread, keeping the main trace track.
-    for (size_t I = 0; I < Tasks.size(); ++I)
-      RunTask(I, 0, {});
-  } else {
-    unsigned N = std::min<size_t>(Jobs, Tasks.size());
-    obs::gaugeMax("suite.pool.workers", static_cast<double>(N));
-    std::atomic<size_t> Next{0};
-    auto Worker = [&](uint32_t Track) {
-      std::string Name = "worker-" + std::to_string(Track);
-      for (size_t I; (I = Next.fetch_add(1)) < Tasks.size();)
-        RunTask(I, Track, Name);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Pool.emplace_back(Worker, I + 1);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  obs::gaugeMax("suite.pool.workers",
+                static_cast<double>(obs::parallelWorkers(Jobs, Tasks.size())));
 
-  // Fold results back in input order. A failing input ends its program
-  // exactly like a serial run: later inputs' results and telemetry are
-  // dropped, so the report is independent of the job count.
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    CompiledSuiteProgram &P = Out[Tasks[I].Prog];
-    if (!P.Ok)
-      continue;
-    Cap.merge(Slots[I]);
-    absorbRun(P, *Tasks[I].Input, std::move(Results[I]));
-  }
+  std::vector<RunOutcome> Results(Tasks.size());
+  obs::parallelFor(
+      Jobs, Tasks.size(),
+      [&](size_t I) {
+        const CompiledSuiteProgram &P = Out[Tasks[I].Prog];
+        if (!P.Ok)
+          return; // An earlier input failed (serial path only).
+        obs::ScopedPhase TaskPhase("suite.task",
+                                   P.Spec->Name + "/" + Tasks[I].Input->Name);
+        Results[I] = timedRun(P, *Tasks[I].Input, Options);
+        // Worker busy time: the _us suffix marks it timing-valued, so the
+        // serial/parallel counter-equality contract skips its value.
+        obs::counterAdd("suite.pool.busy_us", Results[I].WallMs * 1000.0);
+        obs::histRecord("suite.pool.task_us", Results[I].WallMs * 1000.0);
+      },
+      [&](size_t I) {
+        CompiledSuiteProgram &P = Out[Tasks[I].Prog];
+        if (!P.Ok)
+          return false;
+        absorbRun(P, *Tasks[I].Input, std::move(Results[I]));
+        return true;
+      });
   return Out;
 }
 
@@ -231,56 +203,20 @@ sest::computeSuiteAccuracy(const std::vector<CompiledSuiteProgram> &Programs,
     if (P.Ok && !P.Profiles.empty())
       Scored.push_back(&P);
 
-  // Estimation + attribution for one program. Parallelism is across
-  // programs, so each estimate itself runs serially (nested pools would
-  // oversubscribe without helping wall time).
-  EstimatorOptions InnerOpts = EstOpts;
-  InnerOpts.Jobs = 1;
-  auto ScoreOne = [&](const CompiledSuiteProgram &P) -> obs::AccuracyReport {
+  // Estimation + attribution, one program per task.
+  std::vector<obs::AccuracyReport> Reports(Scored.size());
+  obs::parallelFor(Jobs, Scored.size(), [&](size_t I) {
+    const CompiledSuiteProgram &P = *Scored[I];
     Profile Aggregate = aggregateProfiles(P.Profiles);
     Aggregate.ProgramName = P.Spec->Name;
     Aggregate.InputName =
         "aggregate(" + std::to_string(P.Profiles.size()) + ")";
     ProgramEstimate Estimate =
-        estimateProgram(P.unit(), *P.Cfgs, *P.CG, InnerOpts);
-    obs::AccuracyReport Rep = obs::computeAccuracy(
-        P.unit(), *P.Cfgs, *P.CG, Estimate, Aggregate, InnerOpts);
-    Rep.ProgramHash = hashHex(contentHash64(P.Spec->Source));
-    return Rep;
-  };
-
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-  std::vector<obs::AccuracyReport> Reports(Scored.size());
-  if (Jobs <= 1 || Scored.size() <= 1) {
-    for (size_t I = 0; I < Scored.size(); ++I)
-      Reports[I] = ScoreOne(*Scored[I]);
-    return Reports;
-  }
-
-  // Per-program private contexts (telemetry on a per-worker trace
-  // track, plus the decision log), merged back in program order: the
-  // report (and any embedded telemetry or logged decisions) is
-  // identical for every Jobs. With no ambient context TaskCapture
-  // skips the private contexts so parallelism costs nothing extra.
-  obs::TaskCapture Cap;
-  std::vector<obs::TaskCapture::Slot> Slots(Scored.size());
-  std::atomic<size_t> Next{0};
-  auto Worker = [&](uint32_t Track) {
-    std::string Name = "worker-" + std::to_string(Track);
-    for (size_t I; (I = Next.fetch_add(1)) < Scored.size();)
-      Cap.run(Slots[I], Track, Name,
-              [&] { Reports[I] = ScoreOne(*Scored[I]); });
-  };
-  std::vector<std::thread> Pool;
-  unsigned N = std::min<size_t>(Jobs, Scored.size());
-  Pool.reserve(N);
-  for (unsigned I = 0; I < N; ++I)
-    Pool.emplace_back(Worker, I + 1);
-  for (std::thread &T : Pool)
-    T.join();
-  for (obs::TaskCapture::Slot &S : Slots)
-    Cap.merge(S);
+        estimateProgram(P.unit(), *P.Cfgs, *P.CG, EstOpts);
+    Reports[I] = obs::computeAccuracy(P.unit(), *P.Cfgs, *P.CG, Estimate,
+                                      Aggregate, EstOpts);
+    Reports[I].ProgramHash = hashHex(contentHash64(P.Spec->Source));
+  });
   return Reports;
 }
 

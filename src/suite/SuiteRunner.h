@@ -83,12 +83,10 @@ CompiledSuiteProgram compileProgramOnly(const SuiteProgram &Program);
 /// that fail are still present with Ok == false.
 ///
 /// Each program is compiled (and lowered to bytecode) once; the
-/// (program, input) runs are then executed by a pool of \p Jobs worker
-/// threads (0 = hardware_concurrency). Every run collects into its own
-/// Telemetry context; the contexts are merged into the ambient one in
-/// input order, and a program's inputs after its first failing one are
-/// discarded, so results and telemetry are identical to a serial run
-/// regardless of the job count.
+/// (program, input) runs then go through obs::parallelFor with \p Jobs
+/// (0 = one per core, 1 = serial). A program's inputs after its first
+/// failing one are discarded with their telemetry, so results and
+/// telemetry are identical for every job count.
 std::vector<CompiledSuiteProgram>
 compileAndProfileSuite(const InterpOptions &Options = {}, unsigned Jobs = 0);
 
@@ -97,9 +95,8 @@ compileAndProfileSuite(const InterpOptions &Options = {}, unsigned Jobs = 0);
 /// time and resource usage, suite totals, and per-program accuracy
 /// summaries under "accuracy"). When a telemetry context is installed on
 /// this thread its full report is embedded under "telemetry". \p Engine
-/// names the interpreter tier that produced the runs. The embedded
-/// accuracy summaries are computed by \p Jobs worker threads (see
-/// computeSuiteAccuracy).
+/// names the interpreter tier that produced the runs; \p Jobs as in
+/// computeSuiteAccuracy.
 std::string
 suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
                 InterpEngine Engine = InterpEngine::Bytecode,
@@ -110,12 +107,11 @@ suiteReportJson(const std::vector<CompiledSuiteProgram> &Programs,
 /// the aggregate of all its input profiles (ProfileName "aggregate(N)").
 /// Programs with Ok == false or no profiles are skipped.
 ///
-/// The per-program estimation + attribution passes are fanned out over
-/// \p Jobs worker threads (1 = serial, 0 = hardware_concurrency), each
-/// collecting into a private Telemetry context merged back in program
-/// order. Profiles are bit-identical across engines and job counts, and
-/// the attribution uses no wall-clock inputs, so reports and telemetry
-/// are identical for every job count.
+/// The per-program estimation + attribution passes go through
+/// obs::parallelFor with \p Jobs (0 = one per core, 1 = serial).
+/// Profiles are bit-identical across engines and job counts, and the
+/// attribution uses no wall-clock inputs, so reports and telemetry are
+/// identical for every job count.
 std::vector<obs::AccuracyReport>
 computeSuiteAccuracy(const std::vector<CompiledSuiteProgram> &Programs,
                      const EstimatorOptions &EstOpts = {},

@@ -7,6 +7,7 @@
 #include "tune/Tune.h"
 
 #include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Hash.h"
 #include "support/Json.h"
@@ -14,9 +15,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <map>
-#include <thread>
 
 using namespace sest;
 using namespace sest::tune;
@@ -340,8 +339,7 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
 
   // Oracle weights, all on the pristine CFGs (ids are stable across the
   // per-candidate fresh compiles, so they carry over).
-  EstimatorOptions Est = Options.Est;
-  Est.Jobs = 1; // Parallelism is across programs.
+  const EstimatorOptions &Est = Options.Est;
   const ProgramEstimate Estimate =
       estimateProgram(Unit, *CSP.Cfgs, *CSP.CG, Est);
   const WeightSource WStatic =
@@ -471,39 +469,11 @@ TuneSuiteReport sest::tune::computeTuneReport(
     if (P.Spec)
       Scored.push_back(&P);
 
-  unsigned Jobs = Options.Jobs;
-  if (Jobs == 0)
-    Jobs = std::max(1u, std::thread::hardware_concurrency());
-
   TuneSuiteReport Report;
   Report.Programs.resize(Scored.size());
-  if (Jobs <= 1 || Scored.size() <= 1) {
-    for (size_t I = 0; I < Scored.size(); ++I)
-      Report.Programs[I] = scoreProgram(*Scored[I], Options);
-  } else {
-    // Per-program private telemetry/event contexts merged back in
-    // program order: the ambient report is identical for every job
-    // count (the same discipline as the opt report).
-    obs::TaskCapture Cap;
-    std::vector<obs::TaskCapture::Slot> Slots(Scored.size());
-    std::atomic<size_t> Next{0};
-    auto Worker = [&](uint32_t Track) {
-      std::string Name = "worker-" + std::to_string(Track);
-      for (size_t I; (I = Next.fetch_add(1)) < Scored.size();)
-        Cap.run(Slots[I], Track, Name, [&] {
-          Report.Programs[I] = scoreProgram(*Scored[I], Options);
-        });
-    };
-    std::vector<std::thread> Pool;
-    const unsigned N = std::min<size_t>(Jobs, Scored.size());
-    Pool.reserve(N);
-    for (unsigned I = 0; I < N; ++I)
-      Pool.emplace_back(Worker, I + 1);
-    for (std::thread &T : Pool)
-      T.join();
-    for (obs::TaskCapture::Slot &S : Slots)
-      Cap.merge(S);
-  }
+  obs::parallelFor(Options.Jobs, Scored.size(), [&](size_t I) {
+    Report.Programs[I] = scoreProgram(*Scored[I], Options);
+  });
 
   // Suite aggregation over programs where both compared oracles ran.
   size_t ComparedCount = 0;
@@ -684,8 +654,5 @@ std::string sest::tune::tuneSource(std::string_view Source,
     }
   }
 
-  TuneOptions O = Options;
-  O.Jobs = 1; // One program; parallelism lives in the caller's batcher.
-  const TuneSuiteReport Report = computeTuneReport(Programs, O);
-  return tuneReportJson(Report, O);
+  return tuneReportJson(computeTuneReport(Programs, Options), Options);
 }

@@ -72,8 +72,8 @@ struct TuneOptions {
   /// Estimator configuration for the static oracle's weights.
   EstimatorOptions Est;
   InterpEngine Engine = InterpEngine::Bytecode;
-  /// Worker threads across programs (1 = serial, 0 = all cores).
-  /// Reports are byte-identical for every value.
+  /// Worker threads across programs (obs::parallelFor: 0 = one per
+  /// core, 1 = serial). Reports are byte-identical for every value.
   unsigned Jobs = 1;
   /// Advisory floor on the suite static search recovery ratio.
   double StaticSearchRecoveryFloor = 0.7;

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/Native.h"
+#include "obs/EventLog.h"
 #include "obs/Telemetry.h"
 #include "suite/Suite.h"
 #include "suite/SuiteRunner.h"
@@ -325,6 +326,76 @@ TEST(BytecodeDiff, ParallelSuiteMatchesSerial) {
         Name.find("_us") == std::string::npos)
       EXPECT_EQ(Value, It->second) << Name;
   }
+}
+
+/// The suite runner's failure rule: an input that fails ends its
+/// program, and the program's later inputs leave no results, telemetry
+/// or events, at every job count. The step limit makes some programs
+/// pass their first input and fail a later one.
+TEST(BytecodeDiff, ParallelSuiteFailureRuleMatchesSerial) {
+  InterpOptions Limited;
+  Limited.MaxSteps = 200000;
+  struct Run {
+    obs::Telemetry Tele;
+    obs::EventLog Log;
+    std::vector<CompiledSuiteProgram> Programs;
+  };
+  auto RunAt = [&](Run &R, unsigned Jobs) {
+    R.Tele.install();
+    R.Log.install();
+    R.Programs = compileAndProfileSuite(Limited, Jobs);
+    R.Log.uninstall();
+    R.Tele.uninstall();
+  };
+  Run Serial, Parallel;
+  RunAt(Serial, 1);
+  RunAt(Parallel, 4);
+
+  bool PassedThenFailed = false;
+  ASSERT_EQ(Serial.Programs.size(), Parallel.Programs.size());
+  for (size_t I = 0; I < Serial.Programs.size(); ++I) {
+    const CompiledSuiteProgram &S = Serial.Programs[I];
+    const CompiledSuiteProgram &Q = Parallel.Programs[I];
+    const std::string &Name = S.Spec->Name;
+    EXPECT_EQ(S.Ok, Q.Ok) << Name;
+    EXPECT_EQ(S.Error, Q.Error) << Name;
+    PassedThenFailed = PassedThenFailed || (!S.Ok && !S.Profiles.empty());
+    ASSERT_EQ(S.Profiles.size(), Q.Profiles.size()) << Name;
+    for (size_t J = 0; J < S.Profiles.size(); ++J)
+      expectProfilesIdentical(S.Profiles[J], Q.Profiles[J],
+                              Name + "/" + S.Spec->Inputs[J].Name);
+    ASSERT_EQ(S.RunStats.size(), Q.RunStats.size()) << Name;
+    for (size_t J = 0; J < S.RunStats.size(); ++J) {
+      const SuiteRunStats &A = S.RunStats[J], &B = Q.RunStats[J];
+      EXPECT_EQ(A.InputName, B.InputName) << Name;
+      EXPECT_EQ(A.Steps, B.Steps) << Name;
+      EXPECT_EQ(A.Cycles, B.Cycles) << Name;
+      EXPECT_EQ(A.HeapCellsHighWater, B.HeapCellsHighWater) << Name;
+      EXPECT_EQ(A.CallDepthHighWater, B.CallDepthHighWater) << Name;
+      EXPECT_EQ(A.ExitCode, B.ExitCode) << Name;
+    }
+  }
+  EXPECT_TRUE(PassedThenFailed)
+      << "no program passes its first input and fails a later one";
+
+  // Counters (timing-valued ones aside), histogram sample counts and the
+  // event stream match the serial run exactly.
+  ASSERT_EQ(Serial.Tele.counters().size(), Parallel.Tele.counters().size());
+  for (const auto &[Name, Value] : Serial.Tele.counters()) {
+    auto It = Parallel.Tele.counters().find(Name);
+    ASSERT_NE(It, Parallel.Tele.counters().end()) << Name;
+    if (Name.find("_ms") == std::string::npos &&
+        Name.find("_us") == std::string::npos)
+      EXPECT_EQ(Value, It->second) << Name;
+  }
+  ASSERT_EQ(Serial.Tele.histograms().size(),
+            Parallel.Tele.histograms().size());
+  for (const auto &[Name, H] : Serial.Tele.histograms()) {
+    auto It = Parallel.Tele.histograms().find(Name);
+    ASSERT_NE(It, Parallel.Tele.histograms().end()) << Name;
+    EXPECT_EQ(H.Count, It->second.Count) << Name;
+  }
+  EXPECT_EQ(Serial.Log.jsonl(), Parallel.Log.jsonl());
 }
 
 } // namespace

@@ -15,12 +15,16 @@
 #include "TestUtil.h"
 
 #include "obs/EventLog.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 using namespace sest;
 using namespace sest::test;
@@ -768,12 +772,12 @@ TEST(EventLog, TaskCaptureRunsAndMergesPrivateContexts) {
   obs::TaskCapture::Slot S1, S2;
   // Simulate two worker tasks (run here serially; the capture contract
   // is about context routing, not threads).
-  Cap.run(S1, 1, "worker-1", [] {
+  Cap.run(S1, 1, [] {
     obs::ScopedPhase P("task.a");
     obs::counterAdd("task.count");
     obs::logEvent("decision.a", obs::provFunction("fa"));
   });
-  Cap.run(S2, 2, "worker-2", [] {
+  Cap.run(S2, 2, [] {
     obs::ScopedPhase P("task.b");
     obs::counterAdd("task.count");
     obs::logEvent("decision.b", obs::provFunction("fb"));
@@ -791,14 +795,15 @@ TEST(EventLog, TaskCaptureRunsAndMergesPrivateContexts) {
   ASSERT_EQ(Log.events().size(), 2u);
   EXPECT_EQ(Log.events()[0].Kind, "decision.a");
   EXPECT_EQ(Log.events()[1].Kind, "decision.b");
-  // Task spans landed on their worker tracks with names unioned in.
+  // Task spans landed on their worker tracks, which the trace names.
   std::map<std::string, uint32_t> Tracks;
   for (const obs::TraceEvent &E : Tele.events())
     Tracks[E.Name] = E.Track;
   EXPECT_EQ(Tracks.at("task.a"), 1u);
   EXPECT_EQ(Tracks.at("task.b"), 2u);
-  EXPECT_EQ(Tele.trackNames().at(1), "worker-1");
-  EXPECT_EQ(Tele.trackNames().at(2), "worker-2");
+  const std::string Trace = Tele.traceJson();
+  EXPECT_NE(Trace.find("\"worker-1\""), std::string::npos);
+  EXPECT_NE(Trace.find("\"worker-2\""), std::string::npos);
 }
 
 TEST(EventLog, TaskCaptureSkipsContextsWhenNothingAmbient) {
@@ -808,11 +813,138 @@ TEST(EventLog, TaskCaptureSkipsContextsWhenNothingAmbient) {
   EXPECT_FALSE(Cap.wanted());
   obs::TaskCapture::Slot S;
   bool Ran = false;
-  Cap.run(S, 1, "worker-1", [&] { Ran = true; });
+  Cap.run(S, 1, [&] { Ran = true; });
   EXPECT_TRUE(Ran);
   EXPECT_EQ(S.T, nullptr);
   EXPECT_EQ(S.E, nullptr);
   Cap.merge(S); // must be a no-op, not a crash
+}
+
+//===----------------------------------------------------------------------===//
+// parallelFor
+//===----------------------------------------------------------------------===//
+
+TEST(Parallel, WorkerCountFollowsJobsAndTaskCount) {
+  EXPECT_EQ(obs::parallelWorkers(1, 100), 1u);
+  EXPECT_EQ(obs::parallelWorkers(3, 100), 3u);
+  EXPECT_EQ(obs::parallelWorkers(8, 3), 3u);
+  EXPECT_EQ(obs::parallelWorkers(8, 1), 1u);
+  EXPECT_EQ(obs::parallelWorkers(8, 0), 1u);
+  EXPECT_GE(obs::parallelWorkers(0, 100), 1u);
+}
+
+TEST(Parallel, ResultsAndObservationsMergeInIndexOrder) {
+  constexpr size_t N = 8;
+  for (unsigned Jobs : {1u, 3u, 0u}) {
+    obs::Telemetry Tele;
+    obs::EventLog Log;
+    Tele.install();
+    Log.install();
+    std::vector<size_t> Squares(N, 0);
+    obs::parallelFor(Jobs, N, [&](size_t I) {
+      obs::ScopedPhase P("task." + std::to_string(I));
+      obs::counterAdd("task.count");
+      obs::counterAdd("task.index_sum", static_cast<double>(I));
+      obs::logEvent("task.done", "task:" + std::to_string(I));
+      Squares[I] = I * I;
+    });
+    Log.uninstall();
+    Tele.uninstall();
+
+    EXPECT_EQ(Tele.counters().at("task.count"), 8.0) << "jobs " << Jobs;
+    EXPECT_EQ(Tele.counters().at("task.index_sum"), 28.0) << "jobs " << Jobs;
+    const auto &Phases = Tele.phaseTree().Children;
+    ASSERT_EQ(Phases.size(), N) << "jobs " << Jobs;
+    ASSERT_EQ(Log.events().size(), N) << "jobs " << Jobs;
+    for (size_t I = 0; I < N; ++I) {
+      const std::string Id = std::to_string(I);
+      EXPECT_EQ(Squares[I], I * I) << "jobs " << Jobs;
+      EXPECT_EQ(Phases[I]->Name, "task." + Id) << "jobs " << Jobs;
+      EXPECT_EQ(Log.events()[I].Prov, "task:" + Id) << "jobs " << Jobs;
+    }
+  }
+}
+
+TEST(Parallel, FoldRunsOnCallerInIndexOrderAndCanDropTasks) {
+  // The suite runner's failure rule in miniature: once the fold of task
+  // 2 stops the run, later tasks count for nothing at every job count.
+  // Folds run after every task on the parallel path, so the tasks read
+  // Stopped without a race.
+  for (unsigned Jobs : {1u, 3u}) {
+    obs::EventLog Log;
+    Log.install();
+    bool Stopped = false;
+    std::vector<size_t> Folded;
+    const std::thread::id Caller = std::this_thread::get_id();
+    obs::parallelFor(
+        Jobs, 6,
+        [&](size_t I) {
+          if (!Stopped)
+            obs::logEvent("task.done", "task:" + std::to_string(I));
+        },
+        [&](size_t I) {
+          EXPECT_EQ(std::this_thread::get_id(), Caller);
+          Folded.push_back(I);
+          const bool Keep = !Stopped;
+          Stopped = Stopped || I == 2;
+          return Keep;
+        });
+    Log.uninstall();
+
+    EXPECT_EQ(Folded, (std::vector<size_t>{0, 1, 2, 3, 4, 5}))
+        << "jobs " << Jobs;
+    ASSERT_EQ(Log.events().size(), 3u) << "jobs " << Jobs;
+    for (size_t I = 0; I < 3; ++I)
+      EXPECT_EQ(Log.events()[I].Prov, "task:" + std::to_string(I));
+  }
+}
+
+TEST(Parallel, NestedCallRunsInlineOnItsWorkersTrack) {
+  obs::Telemetry Tele;
+  Tele.install();
+  std::thread::id Outer[2], Inner[2][4];
+  unsigned InnerWorkers[2] = {0, 0};
+  obs::parallelFor(2, 2, [&](size_t I) {
+    obs::ScopedPhase P("outer");
+    Outer[I] = std::this_thread::get_id();
+    InnerWorkers[I] = obs::parallelWorkers(0, 4);
+    obs::parallelFor(0, 4, [&](size_t J) {
+      obs::ScopedPhase Q("inner");
+      Inner[I][J] = std::this_thread::get_id();
+    });
+  });
+  Tele.uninstall();
+
+  for (size_t I = 0; I < 2; ++I) {
+    EXPECT_NE(Outer[I], std::this_thread::get_id());
+    EXPECT_EQ(InnerWorkers[I], 1u);
+    for (size_t J = 0; J < 4; ++J)
+      EXPECT_EQ(Inner[I][J], Outer[I]);
+  }
+  // Each task's context merges whole, in task order: its four inner
+  // spans, then its outer span, all on the one worker track.
+  const std::vector<obs::TraceEvent> &Events = Tele.events();
+  ASSERT_EQ(Events.size(), 10u);
+  for (size_t Task = 0; Task < 2; ++Task) {
+    const obs::TraceEvent &OuterSpan = Events[Task * 5 + 4];
+    EXPECT_EQ(OuterSpan.Name, "outer");
+    EXPECT_NE(OuterSpan.Track, 0u);
+    for (size_t J = 0; J < 4; ++J) {
+      EXPECT_EQ(Events[Task * 5 + J].Name, "inner");
+      EXPECT_EQ(Events[Task * 5 + J].Track, OuterSpan.Track);
+    }
+  }
+}
+
+TEST(Parallel, TaskExceptionReachesCaller) {
+  for (unsigned Jobs : {1u, 3u})
+    EXPECT_THROW(obs::parallelFor(Jobs, 6,
+                                  [](size_t I) {
+                                    if (I == 4)
+                                      throw std::runtime_error("task 4");
+                                  }),
+                 std::runtime_error)
+        << "jobs " << Jobs;
 }
 
 } // namespace

@@ -404,6 +404,27 @@ TEST(Service, MalformedRequestsFailCleanly) {
   std::string Bad = S.handle(estimateRequest("int main( {"));
   EXPECT_NE(Bad.find("\"ok\":false"), std::string::npos);
   EXPECT_EQ(S.handle(estimateRequest("int main( {")), Bad);
+  // Integer fields are range-checked, never cast blindly: "budget":1e12
+  // would otherwise be served as budget 3567587328.
+  auto Tune = [](const std::string &Field) {
+    return std::string("{\"op\":\"tune\",\"source\":\"") +
+           jsonEscape(SourceA) + "\",\"input\":\"12\"," + Field + "}";
+  };
+  for (const char *Field :
+       {"\"budget\":1e12", "\"budget\":4294967296", "\"budget\":0",
+        "\"budget\":2.5", "\"budget\":\"8\"", "\"seed\":-1",
+        "\"seed\":0.5", "\"seed\":18446744073709551616", "\"seed\":\"1\""}) {
+    std::string Resp = S.handle(Tune(Field));
+    EXPECT_NE(Resp.find("\"ok\":false"), std::string::npos) << Field;
+    EXPECT_NE(Resp.find("must be an integer in"), std::string::npos)
+        << Field << ": " << Resp;
+  }
+  // The largest seed below 2^64 is still served.
+  EXPECT_NE(S.handle(std::string("{\"op\":\"report\",\"source\":\"") +
+                     jsonEscape(SourceA) +
+                     "\",\"input\":\"12\",\"seed\":18446744073709549568}")
+                .find("\"ok\":true"),
+            std::string::npos);
 }
 
 TEST(Service, ProgramHashIsSourceIdentity) {

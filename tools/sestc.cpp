@@ -711,22 +711,6 @@ int runOptimize(const Options &O, AstContext &Ctx, CfgModule &Cfgs,
   return St.Rc;
 }
 
-/// Bitwise profile identity (any drift between engines is a bug).
-bool profilesIdentical(const Profile &A, const Profile &B) {
-  if (A.Functions.size() != B.Functions.size() ||
-      A.CallSiteCounts != B.CallSiteCounts ||
-      A.TotalCycles != B.TotalCycles)
-    return false;
-  for (size_t I = 0; I < A.Functions.size(); ++I) {
-    const FunctionProfile &FA = A.Functions[I];
-    const FunctionProfile &FB = B.Functions[I];
-    if (FA.EntryCount != FB.EntryCount ||
-        FA.BlockCounts != FB.BlockCounts || FA.ArcCounts != FB.ArcCounts)
-      return false;
-  }
-  return true;
-}
-
 /// --suite --native-diff: run the whole suite under all three engines
 /// and compare every (program, input) bitwise — profiles, steps, exit
 /// codes and resource high-water marks. The document contains no
