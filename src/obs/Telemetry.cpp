@@ -159,7 +159,9 @@ void Telemetry::beginPhase(std::string_view Name, std::string_view Detail) {
     Node = Parent->Children.back().get();
     Node->Name = std::string(Name);
   }
-  Open.push_back({Node, std::string(Detail), nowUs()});
+  // The detail only labels the span.
+  Open.push_back(
+      {Node, KeepSpans ? std::string(Detail) : std::string(), nowUs()});
 }
 
 void Telemetry::endPhase() {
@@ -175,6 +177,8 @@ void Telemetry::endPhase() {
     Open.back().Node->ChildUs += Dur;
   else
     Root.ChildUs += Dur;
+  if (!KeepSpans)
+    return;
 
   TraceEvent E;
   E.Name = P.Node->Name;
@@ -246,6 +250,8 @@ void Telemetry::mergeFrom(const Telemetry &Other) {
   Parent.ChildUs += Other.Root.ChildUs;
   mergePhaseChildren(Other.Root, Parent);
 
+  if (!KeepSpans)
+    return;
   // Replay events on this context's clock. Both epochs come from the
   // same steady clock, so the offset lines spans up where they really
   // ran; clamp in case Other predates this context.
@@ -261,6 +267,12 @@ void Telemetry::mergeFrom(const Telemetry &Other) {
     Copy.Depth = E.Depth + BaseDepth;
     Events.push_back(std::move(Copy));
   }
+}
+
+bool Telemetry::empty() const {
+  return Counters.empty() && Gauges.empty() && Histograms.empty() &&
+         Events.empty() && Root.Children.empty() && Root.ChildUs == 0 &&
+         TrackNames.empty();
 }
 
 //===----------------------------------------------------------------------===//

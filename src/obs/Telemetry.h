@@ -144,6 +144,14 @@ public:
     return TrackNames;
   }
 
+  /// Whether completed phases are also kept as trace spans (events()).
+  /// On by default. A long-running process that renders no trace turns
+  /// it off, so its memory stays flat while the phase tree, counters,
+  /// gauges and histograms keep recording; mergeFrom() then drops the
+  /// other context's spans too.
+  void setKeepSpans(bool Keep) { KeepSpans = Keep; }
+  bool keepsSpans() const { return KeepSpans; }
+
   //===--------------------------------------------------------------------===//
   // Recording (normally reached via the free functions below)
   //===--------------------------------------------------------------------===//
@@ -185,6 +193,9 @@ public:
   }
   const std::vector<TraceEvent> &events() const { return Events; }
   const PhaseNode &phaseTree() const { return Root; }
+  /// True when nothing has been recorded: merging this context into
+  /// another would change nothing.
+  bool empty() const;
   /// Depth of currently open (unclosed) phases.
   unsigned openPhaseDepth() const { return static_cast<unsigned>(Open.size()); }
 
@@ -226,6 +237,7 @@ private:
   std::vector<OpenPhase> Open;
   Telemetry *Previous = nullptr;
   bool Installed = false;
+  bool KeepSpans = true;
 };
 
 //===----------------------------------------------------------------------===//

@@ -127,12 +127,50 @@ struct RequestOptions {
   }
 };
 
+/// One op of the protocol, with the names of its per-op series spelled
+/// out, so recording them builds no string.
+struct OpInfo {
+  std::string_view Name;
+  bool NeedsSource;
+  /// Control ops answer from live service state instead of the analysis
+  /// pipeline; handleBatch runs them on the intake thread between
+  /// parallel sub-batches so their answers see a fully merged registry.
+  bool Control;
+  std::string_view RequestsCounter;
+  std::string_view LatencyHistogram;
+};
+
+constexpr OpInfo Ops[] = {
+    {"parse", true, false, "service.requests.parse",
+     "service.request_us.parse"},
+    {"estimate", true, false, "service.requests.estimate",
+     "service.request_us.estimate"},
+    {"optimize", true, false, "service.requests.optimize",
+     "service.request_us.optimize"},
+    {"report", true, false, "service.requests.report",
+     "service.request_us.report"},
+    {"tune", true, false, "service.requests.tune",
+     "service.request_us.tune"},
+    {"stats", false, true, "service.requests.stats",
+     "service.request_us.stats"},
+    {"metrics", false, true, "service.requests.metrics",
+     "service.request_us.metrics"},
+    {"health", false, true, "service.requests.health",
+     "service.request_us.health"},
+    {"shutdown", false, true, "service.requests.shutdown",
+     "service.request_us.shutdown"},
+};
+
 /// One decoded request line.
 struct Request {
   std::string Op;
+  const OpInfo *Info = nullptr; ///< Null for an unknown op.
   bool HasId = false;
   double Id = 0;
   std::string Source;
+  /// contentHash64(Source), taken once at decode: every tier key and the
+  /// program_hash field use it.
+  uint64_t SourceHash = 0;
   RequestOptions Opts;
   bool Blocks = false;      ///< estimate: include per-block estimates
   std::string Passes = "all"; ///< optimize: layout | inline | all
@@ -152,16 +190,13 @@ struct Request {
 
 namespace {
 
+using sest::service::detail::OpInfo;
+using sest::service::detail::Ops;
 using sest::service::detail::Request;
 using sest::service::detail::RequestOptions;
 
-/// Control ops answer from live service state instead of the analysis
-/// pipeline; handleBatch runs them on the intake thread between
-/// parallel sub-batches so their answers see a fully merged registry.
 bool isControlOp(const Request &R) {
-  return R.Error.empty() &&
-         (R.Op == "stats" || R.Op == "metrics" || R.Op == "health" ||
-          R.Op == "shutdown");
+  return R.Error.empty() && R.Info->Control;
 }
 
 bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
@@ -259,14 +294,18 @@ Request parseRequest(const std::string &Line) {
     return R;
   }
   R.Op = Op->StringVal;
+  for (const OpInfo &Info : Ops)
+    if (Info.Name == R.Op)
+      R.Info = &Info;
   if (const JsonValue *Id = Doc->find("id"); Id && Id->isNumber()) {
     R.HasId = true;
     R.Id = Id->NumberVal;
   }
-  bool NeedsSource = R.Op == "parse" || R.Op == "estimate" ||
-                     R.Op == "optimize" || R.Op == "report" ||
-                     R.Op == "tune";
-  if (!NeedsSource) {
+  if (!R.Info) {
+    R.Error = "unknown op '" + R.Op + "'";
+    return R;
+  }
+  if (!R.Info->NeedsSource) {
     if (R.Op == "metrics") {
       if (const JsonValue *S = Doc->find("scope")) {
         if (!S->isString() || (S->StringVal != "live" &&
@@ -276,18 +315,16 @@ Request parseRequest(const std::string &Line) {
         }
         R.Scope = S->StringVal;
       }
-    } else if (R.Op != "stats" && R.Op != "health" &&
-               R.Op != "shutdown") {
-      R.Error = "unknown op '" + R.Op + "'";
     }
     return R;
   }
-  const JsonValue *Source = Doc->find("source");
+  JsonValue *Source = Doc->find("source");
   if (!Source || !Source->isString()) {
     R.Error = "missing string field 'source'";
     return R;
   }
-  R.Source = Source->StringVal;
+  R.Source = std::move(Source->StringVal);
+  R.SourceHash = contentHash64(R.Source);
   if (const JsonValue *Opts = Doc->find("options")) {
     if (!Opts->isObject()) {
       R.Error = "'options' must be an object";
@@ -306,8 +343,8 @@ Request parseRequest(const std::string &Line) {
       return R;
     }
   }
-  if (const JsonValue *I = Doc->find("input"); I && I->isString())
-    R.Input = I->StringVal;
+  if (JsonValue *I = Doc->find("input"); I && I->isString())
+    R.Input = std::move(I->StringVal);
   if (!readIntegerField(*Doc, "seed", 0.0, 0x1p64, "[0, 2^64)", R.Seed,
                         R.Error))
     return R;
@@ -419,7 +456,7 @@ void logCacheEvent(const Request &R, std::string_view Tier, bool Hit,
 std::shared_ptr<const AstArtifact> getOrBuildAst(CacheSet &Caches,
                                                 const Request &R) {
   const std::string &Source = R.Source;
-  uint64_t Key = HashBuilder("ast").add(Source).digest();
+  uint64_t Key = HashBuilder("ast").addU64(R.SourceHash).digest();
   if (auto A = Caches.Ast.getAs<AstArtifact>(Key)) {
     logCacheEvent(R, "ast", true);
     return A;
@@ -441,7 +478,7 @@ std::shared_ptr<const AstArtifact> getOrBuildAst(CacheSet &Caches,
 std::shared_ptr<const CfgArtifact>
 getOrBuildCfg(CacheSet &Caches, const Request &R,
               std::shared_ptr<const AstArtifact> Ast) {
-  uint64_t Key = HashBuilder("cfg").add(R.Source).digest();
+  uint64_t Key = HashBuilder("cfg").addU64(R.SourceHash).digest();
   if (auto A = Caches.Cfg.getAs<CfgArtifact>(Key)) {
     logCacheEvent(R, "cfg", true);
     return A;
@@ -466,7 +503,7 @@ getOrBuildBranch(CacheSet &Caches, const Request &R,
                  const CfgArtifact &Cfg) {
   const RequestOptions &Opts = R.Opts;
   uint64_t Key = HashBuilder("branch")
-                     .add(R.Source)
+                     .addU64(R.SourceHash)
                      .addU64(Opts.branchOptionsHash())
                      .digest();
   if (auto A = Caches.Branch.getAs<BranchArtifact>(Key)) {
@@ -495,7 +532,7 @@ getOrBuildSolve(CacheSet &Caches, const Request &R, const CfgArtifact &Cfg,
                 const BranchArtifact &Branch) {
   const RequestOptions &Opts = R.Opts;
   uint64_t Key = HashBuilder("solve")
-                     .add(R.Source)
+                     .addU64(R.SourceHash)
                      .addU64(Opts.optionsHash())
                      .digest();
   if (auto A = Caches.Solve.getAs<ProgramEstimate>(Key)) {
@@ -520,7 +557,7 @@ getOrBuildNative(CacheSet &Caches, const Request &R,
   // Keyed by source alone: the service compiles identity-layout
   // artifacts, and the backend folds the layout plan into the generated
   // source (and therefore its own memoization) anyway.
-  uint64_t Key = HashBuilder("native").add(R.Source).digest();
+  uint64_t Key = HashBuilder("native").addU64(R.SourceHash).digest();
   if (auto A = Caches.Native.getAs<NativeEntry>(Key)) {
     logCacheEvent(R, "native", true);
     return A;
@@ -565,8 +602,7 @@ std::string renderEnvelope(const Request &R, const ResponseBody &Body) {
   W.member("op", R.Op);
   W.member("ok", Body.Ok);
   if (!R.Source.empty())
-    W.member("program_hash",
-             hashHex(contentHash64(R.Source)));
+    W.member("program_hash", hashHex(R.SourceHash));
   if (Body.Ok)
     W.key("result").rawValue(Body.ResultJson);
   else
@@ -748,13 +784,13 @@ std::string reportResultJson(CacheSet &Caches, const Request &R,
   return W.take();
 }
 
-/// The semantic key of a cacheable request: op + source + every knob
-/// that can change the result. Deliberately NOT the raw line — field
+/// The semantic key of a cacheable request: op + source digest + every
+/// knob that can change the result. Deliberately NOT the raw line — field
 /// order and the echoed id must not fragment the response tier.
 uint64_t responseKey(const Request &R) {
   HashBuilder H("response");
   H.add(R.Op)
-      .add(R.Source)
+      .addU64(R.SourceHash)
       .addU64(R.Opts.optionsHash())
       .addBool(R.Blocks)
       .add(R.Passes)
@@ -809,7 +845,7 @@ ResponseBody buildBody(CacheSet &Caches, const Request &R) {
     // Tune reports share the plan tier (they are optimizer decision
     // documents too) under their own key domain.
     uint64_t TuneKey = HashBuilder("tune")
-                           .add(R.Source)
+                           .addU64(R.SourceHash)
                            .add(R.Input)
                            .addU64(R.Seed)
                            .addU64(R.Budget)
@@ -841,7 +877,7 @@ ResponseBody buildBody(CacheSet &Caches, const Request &R) {
     // Plans get their own tier: they depend on `passes` on top of the
     // solve, and rendering them walks the optimizer.
     uint64_t PlanKey = HashBuilder("plan")
-                           .add(R.Source)
+                           .addU64(R.SourceHash)
                            .addU64(R.Opts.optionsHash())
                            .add(R.Passes)
                            .digest();
@@ -1021,8 +1057,7 @@ std::string Service::dispatch(const detail::Request &R, bool &Ok) {
     Ok = false;
     return renderError(R, R.Error);
   }
-  if (obs::telemetryActive())
-    obs::counterAdd("service.requests." + R.Op);
+  obs::counterAdd(R.Info->RequestsCounter);
 
   // Control ops: answered live, never cached. The counters above run
   // first, so a metrics answer includes its own request.
@@ -1093,8 +1128,8 @@ std::string Service::handleParsed(const detail::Request &R) {
                                                             Start)
           .count());
   obs::histRecord("service.request_us", Us);
-  if (R.Error.empty() && obs::telemetryActive())
-    obs::histRecord("service.request_us." + R.Op, Us);
+  if (R.Error.empty())
+    obs::histRecord(R.Info->LatencyHistogram, Us);
   if (obs::eventLogActive())
     obs::logEvent("service.request.respond", obs::provRequest(R.Ordinal),
                   {obs::attr("ok", Ok ? 1.0 : 0.0),
@@ -1102,14 +1137,27 @@ std::string Service::handleParsed(const detail::Request &R) {
   return Out;
 }
 
-std::string Service::handle(const std::string &Line) {
-  detail::Request R = parseRequest(Line);
-  R.Ordinal = NextOrdinal.fetch_add(1, std::memory_order_relaxed);
+void Service::enqueue(detail::Request &R, uint64_t Ordinal,
+                      size_t QueueDepth) {
+  R.Ordinal = Ordinal;
   if (obs::eventLogActive())
     obs::logEvent("service.request.enqueue", obs::provRequest(R.Ordinal),
                   {obs::attr("op", R.Error.empty() ? R.Op.c_str()
                                                    : "invalid"),
-                   obs::attr("queue_depth", 1.0)});
+                   obs::attr("queue_depth",
+                             static_cast<double>(QueueDepth))});
+}
+
+std::string Service::handle(const std::string &Line) {
+  detail::Request R = parseRequest(Line);
+  enqueue(R, NextOrdinal.fetch_add(1, std::memory_order_relaxed), 1);
+  return handleParsed(R);
+}
+
+std::string Service::reject(const std::string &Error) {
+  detail::Request R;
+  R.Error = Error;
+  enqueue(R, NextOrdinal.fetch_add(1, std::memory_order_relaxed), 1);
   return handleParsed(R);
 }
 
@@ -1121,20 +1169,16 @@ Service::handleBatch(const std::vector<std::string> &Lines) {
                 static_cast<double>(Lines.size()));
   obs::counterAdd("service.batches");
 
-  // Intake: parse and assign ordinals in request order, and emit every
-  // enqueue event before any execution — the serial and parallel paths
-  // then produce identical event streams.
+  // Intake: decode on the workers, then assign ordinals in request order
+  // and emit every enqueue event before any execution — the serial and
+  // parallel paths then produce identical event streams.
   std::vector<detail::Request> Reqs(Lines.size());
-  for (size_t I = 0; I < Lines.size(); ++I) {
-    Reqs[I] = parseRequest(Lines[I]);
-    Reqs[I].Ordinal = NextOrdinal.fetch_add(1, std::memory_order_relaxed);
-    if (obs::eventLogActive())
-      obs::logEvent(
-          "service.request.enqueue", obs::provRequest(Reqs[I].Ordinal),
-          {obs::attr("op", Reqs[I].Error.empty() ? Reqs[I].Op.c_str()
-                                                 : "invalid"),
-           obs::attr("queue_depth", static_cast<double>(Lines.size()))});
-  }
+  obs::parallelFor(Opts.Jobs, Lines.size(),
+                   [&](size_t I) { Reqs[I] = parseRequest(Lines[I]); });
+  const uint64_t Base =
+      NextOrdinal.fetch_add(Lines.size(), std::memory_order_relaxed);
+  for (size_t I = 0; I < Lines.size(); ++I)
+    enqueue(Reqs[I], Base + I, Lines.size());
 
   // Control ops (stats/metrics/health/shutdown) split the batch: each
   // runs alone on this thread once everything before it has merged, so

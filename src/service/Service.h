@@ -34,7 +34,8 @@
 /// the stream, at every Jobs value.
 ///
 /// Cache tiers (each a ShardedCache, keyed by support::contentHash64
-/// over source text + the options that influence the artifact):
+/// over the source's digest + the options that influence the artifact;
+/// the source itself is hashed once, when its request is decoded):
 ///
 ///   ast       parsed+analyzed ASTs
 ///   cfg       CFGs + call graph (co-owns its AST entry)
@@ -45,7 +46,8 @@
 ///   native    loaded compile-to-C artifacts for engine:"native" reports
 ///             (compile failures are cached too — rejecting is as
 ///             deterministic as accepting)
-///   response  rendered response bodies, keyed by the raw request line
+///   response  rendered response bodies, keyed by op + source + every
+///             knob that can change the result (not the raw line)
 ///
 /// Determinism contract (extends the repo-wide one to the service
 /// layer): a request's response is byte-identical whether it is served
@@ -112,9 +114,15 @@ public:
   /// response.
   std::string handle(const std::string &Line);
 
-  /// Handles a batch: requests run through obs::parallelFor on up to
-  /// Jobs workers, and responses come back in request order.
+  /// Handles a batch: requests are decoded and run through
+  /// obs::parallelFor on up to Jobs workers, and responses come back in
+  /// request order.
   std::vector<std::string> handleBatch(const std::vector<std::string> &Lines);
+
+  /// Answers a request line the caller could not take in (sestd's line
+  /// cap) with an ok:false response carrying \p Error. It is counted,
+  /// timed and logged like any other bad request.
+  std::string reject(const std::string &Error);
 
   /// True once a shutdown request has been acknowledged; the driver
   /// loop should stop reading after draining the current batch.
@@ -145,6 +153,8 @@ public:
 
 private:
   std::string dispatch(const detail::Request &R, bool &Ok);
+  /// Gives \p R its ordinal and logs its enqueue event.
+  void enqueue(detail::Request &R, uint64_t Ordinal, size_t QueueDepth);
   /// Executes one already-parsed request: span events, latency
   /// histograms, dispatch.
   std::string handleParsed(const detail::Request &R);

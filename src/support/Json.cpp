@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 using namespace sest;
 
@@ -335,14 +336,24 @@ private:
     // Caller ensured peek() == '"'.
     ++Pos;
     std::string Out;
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return Out;
-      if (C != '\\') {
-        Out += C;
-        continue;
+    // Each run up to the next backslash or quote is appended in one call.
+    // Backslashes are searched for only before the next quote, so the scan
+    // never runs past the end of the string.
+    size_t Quote = 0;
+    for (;;) {
+      if (Quote < Pos) {
+        Quote = Text.find('"', Pos);
+        if (Quote == std::string_view::npos)
+          return std::nullopt; // unterminated
       }
+      const char *Run = Text.data() + Pos;
+      const auto *Esc =
+          static_cast<const char *>(std::memchr(Run, '\\', Quote - Pos));
+      const size_t Stop = Esc ? static_cast<size_t>(Esc - Text.data()) : Quote;
+      Out.append(Run, Stop - Pos);
+      Pos = Stop + 1;
+      if (Stop == Quote)
+        return Out;
       if (Pos >= Text.size())
         return std::nullopt;
       char E = Text[Pos++];
@@ -400,7 +411,6 @@ private:
         return std::nullopt;
       }
     }
-    return std::nullopt; // unterminated
   }
 
   std::optional<JsonValue> parseNumber() {

@@ -28,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace sest {
@@ -109,6 +110,9 @@ struct JsonValue {
 
   /// First member named \p Key, or null when absent / not an object.
   const JsonValue *find(std::string_view Key) const;
+  JsonValue *find(std::string_view Key) {
+    return const_cast<JsonValue *>(std::as_const(*this).find(Key));
+  }
   /// Drills through nested objects ("a.b.c" style, one key per call).
   double numberOr(std::string_view Key, double Default) const;
 };

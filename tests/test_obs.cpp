@@ -21,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -656,6 +659,42 @@ TEST(Telemetry, SerialEventsStayOnSingleTrack) {
     EXPECT_EQ(E.Track, 0u);
 }
 
+TEST(Telemetry, SpansOffKeepsPhasesAndCountersButNoEvents) {
+  obs::Telemetry Tele;
+  Tele.setKeepSpans(false);
+  Tele.install();
+  {
+    obs::ScopedPhase Outer("outer", "a detail longer than fifteen bytes");
+    obs::ScopedPhase Inner("inner");
+    obs::counterAdd("c");
+    obs::histRecord("h", 3.0);
+  }
+  // A context that kept its spans merges its tree and registry, but
+  // not its spans.
+  obs::Telemetry Task;
+  Task.install();
+  { obs::ScopedPhase P("task"); }
+  obs::counterAdd("c");
+  Task.uninstall();
+  Tele.mergeFrom(Task);
+  Tele.uninstall();
+
+  EXPECT_FALSE(Tele.keepsSpans());
+  EXPECT_TRUE(Tele.events().empty());
+  EXPECT_EQ(Task.events().size(), 1u);
+  EXPECT_EQ(Tele.counters().at("c"), 2.0);
+  EXPECT_EQ(Tele.histograms().at("h").Count, 1u);
+  const obs::PhaseNode &Root = Tele.phaseTree();
+  ASSERT_EQ(Root.Children.size(), 2u);
+  EXPECT_EQ(Root.Children[0]->Name, "outer");
+  EXPECT_EQ(Root.Children[0]->Count, 1u);
+  ASSERT_EQ(Root.Children[0]->Children.size(), 1u);
+  EXPECT_EQ(Root.Children[0]->Children[0]->Name, "inner");
+  EXPECT_EQ(Root.Children[1]->Name, "task");
+  EXPECT_FALSE(Tele.empty());
+  EXPECT_TRUE(obs::Telemetry().empty());
+}
+
 //===----------------------------------------------------------------------===//
 // EventLog (decision-provenance flight recorder)
 //===----------------------------------------------------------------------===//
@@ -806,6 +845,34 @@ TEST(EventLog, TaskCaptureRunsAndMergesPrivateContexts) {
   EXPECT_NE(Trace.find("\"worker-2\""), std::string::npos);
 }
 
+TEST(EventLog, TaskCaptureKeepsNothingForTasksThatRecordNothing) {
+  obs::Telemetry Tele;
+  obs::EventLog Log;
+  Tele.setKeepSpans(false);
+  Tele.install();
+  Log.install();
+  obs::TaskCapture Cap;
+  obs::TaskCapture::Slot Quiet, Busy;
+  Cap.run(Quiet, 1, [] {});
+  Cap.run(Busy, 1, [] {
+    obs::ScopedPhase P("task");
+    obs::logEvent("decision", obs::provFunction("f"));
+  });
+  // The quiet task's contexts stayed with the thread; the busy task got
+  // them and follows the ambient span setting.
+  EXPECT_EQ(Quiet.T, nullptr);
+  EXPECT_EQ(Quiet.E, nullptr);
+  ASSERT_NE(Busy.T, nullptr);
+  ASSERT_NE(Busy.E, nullptr);
+  EXPECT_FALSE(Busy.T->keepsSpans());
+  Cap.merge(Quiet);
+  Cap.merge(Busy);
+  Log.uninstall();
+  Tele.uninstall();
+  EXPECT_EQ(Tele.phaseTree().Children.size(), 1u);
+  EXPECT_EQ(Log.events().size(), 1u);
+}
+
 TEST(EventLog, TaskCaptureSkipsContextsWhenNothingAmbient) {
   // With no ambient telemetry or log, tasks run bare: no private
   // contexts are allocated, so parallelism stays observation-free.
@@ -945,6 +1012,95 @@ TEST(Parallel, TaskExceptionReachesCaller) {
                                   }),
                  std::runtime_error)
         << "jobs " << Jobs;
+}
+
+/// Runs one parallelFor at Jobs 2 over two tasks that wait for each
+/// other, so each of the two workers runs one; returns their threads.
+std::set<std::thread::id> twoWorkerThreads() {
+  std::latch BothStarted(2);
+  std::thread::id Ids[2];
+  obs::parallelFor(2, 2, [&](size_t I) {
+    Ids[I] = std::this_thread::get_id();
+    BothStarted.arrive_and_wait();
+  });
+  return {Ids[0], Ids[1]};
+}
+
+TEST(Parallel, ConsecutiveCallsRunOnTheSameWorkers) {
+  const std::set<std::thread::id> First = twoWorkerThreads();
+  const size_t Started = obs::parallelPoolSize();
+  const std::set<std::thread::id> Second = twoWorkerThreads();
+  EXPECT_EQ(First.size(), 2u);
+  EXPECT_EQ(First.count(std::this_thread::get_id()), 0u);
+  EXPECT_EQ(Second, First);
+  // Each worker thread is started once per process: repeating a call
+  // starts none, and a larger call adds only the missing ones.
+  EXPECT_GE(Started, 2u);
+  EXPECT_EQ(obs::parallelPoolSize(), Started);
+  const unsigned More = static_cast<unsigned>(Started) + 1;
+  obs::parallelFor(More, More, [](size_t) {});
+  EXPECT_EQ(obs::parallelPoolSize(), Started + 1);
+  obs::parallelFor(More, More, [](size_t) {});
+  EXPECT_EQ(obs::parallelPoolSize(), Started + 1);
+}
+
+TEST(Parallel, PoolServesTheNextCallAfterATaskThrows) {
+  EXPECT_THROW(obs::parallelFor(3, 6,
+                                [](size_t I) {
+                                  if (I == 1)
+                                    throw std::runtime_error("task 1");
+                                }),
+               std::runtime_error);
+  obs::Telemetry Tele;
+  Tele.install();
+  std::vector<int> Ran(32, 0);
+  obs::parallelFor(3, Ran.size(), [&](size_t I) {
+    obs::counterAdd("task.count");
+    ++Ran[I];
+  });
+  Tele.uninstall();
+  EXPECT_EQ(Ran, std::vector<int>(32, 1));
+  EXPECT_EQ(Tele.counters().at("task.count"), 32.0);
+}
+
+TEST(Parallel, ConcurrentCallersGetIndexOrderedResults) {
+  // Two threads that are not workers call at once: whichever finds the
+  // workers held runs serially, and both see a serial run's results.
+  constexpr size_t N = 64;
+  std::atomic<bool> Go{false};
+  auto Caller = [&](std::vector<std::string> &Events,
+                    std::vector<size_t> &Squares) {
+    obs::EventLog Log;
+    Log.install();
+    while (!Go.load())
+      std::this_thread::yield();
+    for (int Round = 0; Round < 20; ++Round)
+      obs::parallelFor(2, N, [&](size_t I) {
+        obs::logEvent("task.done", "task:" + std::to_string(I));
+        Squares[I] = I * I;
+      });
+    Log.uninstall();
+    for (const obs::Event &E : Log.events())
+      Events.push_back(E.Prov);
+  };
+  std::vector<std::string> EventsA, EventsB;
+  std::vector<size_t> SquaresA(N), SquaresB(N);
+  std::thread A(Caller, std::ref(EventsA), std::ref(SquaresA));
+  std::thread B(Caller, std::ref(EventsB), std::ref(SquaresB));
+  Go.store(true);
+  A.join();
+  B.join();
+
+  std::vector<std::string> Expected;
+  for (int Round = 0; Round < 20; ++Round)
+    for (size_t I = 0; I < N; ++I)
+      Expected.push_back("task:" + std::to_string(I));
+  EXPECT_EQ(EventsA, Expected);
+  EXPECT_EQ(EventsB, Expected);
+  for (size_t I = 0; I < N; ++I) {
+    EXPECT_EQ(SquaresA[I], I * I);
+    EXPECT_EQ(SquaresB[I], I * I);
+  }
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include "support/Arena.h"
 #include "support/Hash.h"
+#include "support/Json.h"
 #include "support/LinearSystem.h"
 #include "support/Prng.h"
 #include "support/Scc.h"
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 using namespace sest;
 
@@ -330,6 +333,74 @@ TEST(HashBuilder, DomainsAndScalarsSeparateKeys) {
   // Equal inputs agree, of course.
   EXPECT_EQ(HashBuilder("t").add("s").addU64(7).digest(),
             HashBuilder("t").add("s").addU64(7).digest());
+}
+
+//===----------------------------------------------------------------------===//
+// JSON string decoding
+//===----------------------------------------------------------------------===//
+
+// The reader copies a string's unescaped runs in one append each; these
+// pin the decoded bytes at the run boundaries.
+
+/// Decodes the JSON string literal \p Literal (quotes included).
+std::optional<std::string> decodeString(const std::string &Literal) {
+  std::optional<JsonValue> V = parseJson(Literal);
+  if (!V)
+    return std::nullopt;
+  EXPECT_TRUE(V->isString());
+  return V->StringVal;
+}
+
+TEST(JsonString, EscapesAtTheEdgesAndBackToBack) {
+  EXPECT_EQ(decodeString(R"("\nabc")"), "\nabc");
+  EXPECT_EQ(decodeString(R"("abc\t")"), "abc\t");
+  EXPECT_EQ(decodeString(R"("\"")"), "\"");
+  EXPECT_EQ(decodeString(R"("a\\\"\/\b\f\n\r\tz")"),
+            "a\\\"/\b\f\n\r\tz");
+  EXPECT_EQ(decodeString(R"("\\")"), "\\");
+  EXPECT_EQ(decodeString(R"("")"), "");
+  EXPECT_EQ(decodeString(R"("x\qy")"), std::nullopt);
+}
+
+TEST(JsonString, UnicodeEscapesEncodeUtf8) {
+  EXPECT_EQ(decodeString(R"("\u0041\u00e9\u20AC")"),
+            "A\xC3\xA9\xE2\x82\xAC");
+  EXPECT_EQ(decodeString(R"("x\u0000y")"), std::string("x\0y", 3));
+  EXPECT_EQ(decodeString(R"("\u00g1")"), std::nullopt);
+  EXPECT_EQ(decodeString(R"("\u12")"), std::nullopt);
+}
+
+TEST(JsonString, RawControlCharactersStayAccepted) {
+  EXPECT_EQ(decodeString("\"a\x01\tb\x1f\""), "a\x01\tb\x1f");
+}
+
+TEST(JsonString, LongRunsDecodeWhole) {
+  const std::string Run(1u << 20, 'x');
+  EXPECT_EQ(decodeString("\"" + Run + "\""), Run);
+  EXPECT_EQ(decodeString("\"" + Run + "\\n" + Run + "\""),
+            Run + "\n" + Run);
+  // Unterminated after a long run, with or without a dangling escape.
+  EXPECT_EQ(decodeString("\"" + Run), std::nullopt);
+  EXPECT_EQ(decodeString("\"" + Run + "\\"), std::nullopt);
+  EXPECT_EQ(decodeString("\"" + Run + "\\\""), std::nullopt);
+}
+
+TEST(JsonString, ManyStringsParseInLinearTime) {
+  // A million empty strings: the scan for a backslash must stop at each
+  // string's closing quote. Scanning on to the end of the document
+  // instead would take about 2e12 byte steps here, far past the time
+  // limit tests/CMakeLists.txt sets.
+  constexpr size_t N = 1u << 20;
+  std::string Doc = "[";
+  Doc.reserve(4 * N + 1);
+  for (size_t I = 0; I < N; ++I)
+    Doc += I ? ", \"\"" : "\"\"";
+  Doc += "]";
+  std::optional<JsonValue> V = parseJson(Doc);
+  ASSERT_TRUE(V && V->isArray());
+  ASSERT_EQ(V->Items.size(), N);
+  EXPECT_TRUE(V->Items.back().isString());
+  EXPECT_EQ(V->Items.back().StringVal, "");
 }
 
 } // namespace

@@ -6,7 +6,11 @@
 #   3. --jobs 8, --no-cache, and a tiny --cache-bytes budget (constant
 #      eviction) must all produce byte-identical output;
 #   4. {"op":"stats"} answers live counters and {"op":"shutdown"} ends
-#      the session with exit code 0.
+#      the session with exit code 0;
+#   5. requests written at once are served in batches deeper than one;
+#   6. --trace keeps one service.request span per request;
+#   7. a line over the 16 MiB cap gets an in-band error, in request
+#      order, and the session goes on.
 # Run as: cmake -DSESTD=<path> -DWORKDIR=<dir> -P check_sestd.cmake
 
 set(SRC_A "int triangle(int n) { int s = 0; int i; for (i = 1; i <= n; i++) s += i; return s; } int main() { int n = read_int(); print_int(triangle(n)); return 0; }")
@@ -103,4 +107,66 @@ if(NOT CTL MATCHES "\"response\":{\"hit\":[1-9]")
 endif()
 if(NOT CTL MATCHES "\"shutting_down\":true")
   message(FATAL_ERROR "shutdown not acknowledged:\n${CTL}")
+endif()
+
+# Stdio batching: 64 requests written at once, then stats. Every request
+# already received joins the batch, so there are fewer batches than
+# requests (a reader that blocks per line would make them equal).
+set(BURST "")
+foreach(I RANGE 1 64)
+  string(APPEND BURST "{\"id\":${I},\"op\":\"estimate\",\"source\":\"${SRC_A}\"}\n")
+endforeach()
+file(WRITE ${WORKDIR}/sestd_burst.jsonl "${BURST}{\"op\":\"stats\"}\n")
+run_sestd(${WORKDIR}/sestd_burst.out ${WORKDIR}/sestd_burst.jsonl --jobs 2)
+file(READ ${WORKDIR}/sestd_burst.out BURST_OUT)
+if(NOT BURST_OUT MATCHES "\"service\\.batches\":([0-9]+)")
+  message(FATAL_ERROR "stats shows no service.batches counter:\n${BURST_OUT}")
+endif()
+set(BATCHES ${CMAKE_MATCH_1})
+if(NOT BURST_OUT MATCHES "\"service\\.requests\":([0-9]+)")
+  message(FATAL_ERROR "stats shows no service.requests counter:\n${BURST_OUT}")
+endif()
+set(REQUESTS ${CMAKE_MATCH_1})
+if(NOT REQUESTS EQUAL 65 OR NOT BATCHES LESS REQUESTS)
+  message(FATAL_ERROR
+    "64 buffered requests + stats ran as ${REQUESTS} requests in "
+    "${BATCHES} batches; expected 65 requests in fewer batches")
+endif()
+
+# --trace keeps spans (only then): one service.request span per request,
+# and the answers are the same bytes.
+run_sestd(${WORKDIR}/sestd_traced.out ${WORKDIR}/sestd_reqs2x.jsonl
+          --jobs 2 --trace ${WORKDIR}/sestd_trace.json)
+file(READ ${WORKDIR}/sestd_traced.out GOT)
+if(NOT GOT STREQUAL "${TWICE}")
+  message(FATAL_ERROR "sestd output differs under --trace")
+endif()
+file(READ ${WORKDIR}/sestd_trace.json TRACE)
+string(REGEX MATCHALL "\"name\":\"service\\.request\",\"cat\":\"phase\""
+       SPANS "${TRACE}")
+list(LENGTH SPANS NSPANS)
+if(NOT NSPANS EQUAL 16)
+  message(FATAL_ERROR "expected 16 service.request spans, got ${NSPANS}")
+endif()
+
+# The line cap: a 17 MiB line between two valid requests is answered in
+# order with an error naming the 16 MiB limit, and serving goes on.
+string(REPEAT "x" 17825792 HUGE)
+file(WRITE ${WORKDIR}/sestd_huge.jsonl
+  "{\"id\":1,\"op\":\"parse\",\"source\":\"${SRC_A}\"}\n${HUGE}\n{\"id\":3,\"op\":\"parse\",\"source\":\"${SRC_A}\"}\n")
+set(HUGE "")
+run_sestd(${WORKDIR}/sestd_huge.out ${WORKDIR}/sestd_huge.jsonl)
+file(REMOVE ${WORKDIR}/sestd_huge.jsonl)
+file(STRINGS ${WORKDIR}/sestd_huge.out HUGE_LINES)
+list(LENGTH HUGE_LINES NHUGE)
+if(NOT NHUGE EQUAL 3)
+  message(FATAL_ERROR "expected 3 responses around the long line, got ${NHUGE}")
+endif()
+list(GET HUGE_LINES 0 FIRST)
+list(GET HUGE_LINES 1 SECOND)
+list(GET HUGE_LINES 2 THIRD)
+if(NOT FIRST MATCHES "\"id\":1,.*\"ok\":true" OR
+   NOT SECOND MATCHES "\"ok\":false.*16777216" OR
+   NOT THIRD MATCHES "\"id\":3,.*\"ok\":true")
+  message(FATAL_ERROR "long line not answered in order:\n${FIRST}\n${SECOND}\n${THIRD}")
 endif()

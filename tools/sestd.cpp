@@ -8,7 +8,9 @@
 /// sestd — the long-running analysis service. Reads newline-delimited
 /// `sest-service/1` JSON requests from stdin (or a Unix socket with
 /// --socket), executes them batched on a worker pool, and writes one
-/// JSON response line per request, in request order. Repeated or
+/// JSON response line per request, in request order. A batch is every
+/// request already received, up to --batch; lines over 16 MiB are
+/// answered with an error. Repeated or
 /// overlapping requests are answered from the content-addressed
 /// memoization cache (src/service/); responses are byte-identical
 /// cold, warm, and at every --jobs value. See docs/SERVICE.md for the
@@ -26,19 +28,18 @@
 #include "obs/Telemetry.h"
 #include "obs/Window.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
-#ifndef _WIN32
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
-#endif
 
 using namespace sest;
 
@@ -246,55 +247,165 @@ struct MetricsSink {
   }
 };
 
-/// Drains one batch through the service and writes the responses.
-/// \p Write receives each response line (newline included). Returns the
-/// number of requests served.
-template <typename WriteFn>
-size_t serveBatch(service::Service &Svc, std::vector<std::string> &Batch,
-                  WriteFn &&Write) {
-  if (Batch.empty())
-    return 0;
-  size_t N = Batch.size();
-  for (std::string &Resp : Svc.handleBatch(Batch)) {
-    Resp += '\n';
-    Write(Resp);
-  }
-  Batch.clear();
-  return N;
-}
+/// The longest request line sestd takes in. A longer line is answered
+/// with an in-band error, in request order, and its bytes are dropped up
+/// to the next newline, so no client can make a line buffer grow without
+/// bound.
+constexpr size_t MaxLineBytes = 16u << 20;
 
-/// stdin/stdout mode: the first request of a batch blocks; any further
-/// lines already buffered join the same batch (up to --batch), so a
-/// client that writes N requests and then waits gets them executed
-/// concurrently, while an interactive client still gets one response
-/// per line immediately.
-int serveStdio(service::Service &Svc, MetricsSink &Sink) {
-  std::vector<std::string> Batch;
-  std::string Line;
-  while (!Svc.shutdownRequested() && std::getline(std::cin, Line)) {
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
-    if (!Line.empty())
-      Batch.push_back(std::move(Line));
-    while (Batch.size() < Sink.batchLimit() &&
-           std::cin.rdbuf()->in_avail() > 0 &&
-           std::getline(std::cin, Line)) {
-      if (!Line.empty() && Line.back() == '\r')
-        Line.pop_back();
-      if (!Line.empty())
-        Batch.push_back(std::move(Line));
+/// The request reader of both front ends: read(2) into one buffer,
+/// split on '\n'.
+class LineReader {
+public:
+  explicit LineReader(int Fd) : Fd(Fd) {}
+
+  /// One batch of request lines.
+  struct Batch {
+    std::vector<std::string> Lines;
+    /// A line over MaxLineBytes came right after Lines.
+    bool Oversized = false;
+  };
+
+  /// Fills \p B with every complete line already received plus whatever
+  /// can be read without blocking, up to \p Max lines (an over-long line
+  /// takes a slot and ends the batch). Blocks only while no complete
+  /// line is buffered, so an interactive client gets each answer at
+  /// once. Returns false when the stream has ended and nothing is left.
+  bool next(Batch &B, size_t Max) {
+    B.Lines.clear();
+    B.Oversized = false;
+    for (;;) {
+      if (take(B, Max))
+        return true;
+      const bool Waiting = !B.Lines.empty();
+      if (Eof) {
+        // A last line without its newline still counts.
+        if (!Dropping && Pos < Buf.size())
+          push(B, Buf.size());
+        Buf.clear();
+        Pos = Scanned = 0;
+        return Waiting || !B.Lines.empty();
+      }
+      if (Waiting && !readable())
+        return true;
+      fill();
     }
-    Sink.onServed(
-        serveBatch(Svc, Batch, [](const std::string &S) { out(S); }));
-    std::fflush(stdout);
   }
-  Sink.onServed(
-      serveBatch(Svc, Batch, [](const std::string &S) { out(S); }));
-  std::fflush(stdout);
-  return 0;
+
+private:
+  /// Moves complete lines into \p B; true when the batch is done (full,
+  /// or ended by an over-long line), false when the buffer has no
+  /// further complete line.
+  bool take(Batch &B, size_t Max) {
+    while (B.Lines.size() < Max) {
+      const void *Hit =
+          std::memchr(Buf.data() + Scanned, '\n', Buf.size() - Scanned);
+      if (!Hit) {
+        Scanned = Buf.size();
+        if (!Dropping && Buf.size() - Pos <= MaxLineBytes)
+          return false;
+        // The line in progress is (or already was) too long: keep none
+        // of it, and answer it only once.
+        const bool Answer = !Dropping;
+        Dropping = true;
+        Buf.clear();
+        Pos = Scanned = 0;
+        B.Oversized = Answer;
+        return Answer;
+      }
+      const size_t Nl = static_cast<const char *>(Hit) - Buf.data();
+      Scanned = Nl + 1;
+      if (Dropping) {
+        Dropping = false;
+      } else if (Nl - Pos > MaxLineBytes) {
+        B.Oversized = true;
+        Pos = Scanned;
+        return true;
+      } else {
+        push(B, Nl);
+      }
+      Pos = Scanned;
+    }
+    return true;
+  }
+
+  /// Adds the line [Pos, End), less a trailing '\r'; blank lines are
+  /// skipped.
+  void push(Batch &B, size_t End) {
+    if (End > Pos && Buf[End - 1] == '\r')
+      --End;
+    if (End > Pos)
+      B.Lines.emplace_back(Buf, Pos, End - Pos);
+  }
+
+  bool readable() const {
+    pollfd P{Fd, POLLIN, 0};
+    return ::poll(&P, 1, 0) > 0;
+  }
+
+  /// One read(2) into the buffer, after dropping the lines consumed.
+  void fill() {
+    Buf.erase(0, Pos);
+    Scanned -= Pos;
+    Pos = 0;
+    char Chunk[64 << 10];
+    ssize_t N;
+    do
+      N = ::read(Fd, Chunk, sizeof(Chunk));
+    while (N < 0 && errno == EINTR);
+    if (N <= 0)
+      Eof = true;
+    else
+      Buf.append(Chunk, static_cast<size_t>(N));
+  }
+
+  int Fd;
+  std::string Buf;
+  size_t Pos = 0;     ///< Start of the first line not yet taken.
+  size_t Scanned = 0; ///< Buf[Pos, Scanned) holds no newline.
+  bool Dropping = false; ///< Skipping an over-long line's remaining bytes.
+  bool Eof = false;
+};
+
+bool writeAll(int Fd, const std::string &S) {
+  for (size_t Off = 0; Off < S.size();) {
+    ssize_t N = ::write(Fd, S.data() + Off, S.size() - Off);
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      return false;
+    Off += static_cast<size_t>(N);
+  }
+  return true;
 }
 
-#ifndef _WIN32
+/// Serves one stream (stdin/stdout, or one socket client) until it ends
+/// or a shutdown request has been answered. Each batch runs through the
+/// service together, and its responses go out in one write.
+void serveStream(service::Service &Svc, MetricsSink &Sink, int InFd,
+                 int OutFd) {
+  LineReader Reader(InFd);
+  LineReader::Batch B;
+  std::string Out;
+  while (!Svc.shutdownRequested() && Reader.next(B, Sink.batchLimit())) {
+    Out.clear();
+    if (!B.Lines.empty())
+      for (const std::string &Resp : Svc.handleBatch(B.Lines)) {
+        Out += Resp;
+        Out += '\n';
+      }
+    if (B.Oversized) {
+      Out += Svc.reject("request line exceeds the " +
+                        std::to_string(MaxLineBytes) + "-byte limit");
+      Out += '\n';
+    }
+    const bool Written = writeAll(OutFd, Out);
+    Sink.onServed(B.Lines.size() + B.Oversized);
+    if (!Written)
+      return;
+  }
+}
+
 /// Unix-socket mode: one client at a time; each connection streams the
 /// same newline-delimited protocol. The listener closes after a
 /// shutdown request (or SIGTERM from outside).
@@ -328,47 +439,13 @@ int serveSocket(const Options &O, service::Service &Svc,
     int Client = ::accept(Listener, nullptr, nullptr);
     if (Client < 0)
       break;
-    std::string Buffer;
-    std::vector<std::string> Batch;
-    char Chunk[64 << 10];
-    auto Write = [&](const std::string &S) {
-      size_t Off = 0;
-      while (Off < S.size()) {
-        ssize_t N = ::write(Client, S.data() + Off, S.size() - Off);
-        if (N <= 0)
-          return;
-        Off += static_cast<size_t>(N);
-      }
-    };
-    for (;;) {
-      ssize_t N = ::read(Client, Chunk, sizeof(Chunk));
-      if (N <= 0)
-        break;
-      Buffer.append(Chunk, static_cast<size_t>(N));
-      size_t Start = 0;
-      for (size_t Nl; (Nl = Buffer.find('\n', Start)) !=
-                      std::string::npos;
-           Start = Nl + 1) {
-        std::string Line = Buffer.substr(Start, Nl - Start);
-        if (!Line.empty() && Line.back() == '\r')
-          Line.pop_back();
-        if (!Line.empty())
-          Batch.push_back(std::move(Line));
-        if (Batch.size() >= Sink.batchLimit())
-          Sink.onServed(serveBatch(Svc, Batch, Write));
-      }
-      Buffer.erase(0, Start);
-      Sink.onServed(serveBatch(Svc, Batch, Write));
-      if (Svc.shutdownRequested())
-        break;
-    }
+    serveStream(Svc, Sink, Client, Client);
     ::close(Client);
   }
   ::close(Listener);
   ::unlink(O.SocketPath.c_str());
   return 0;
 }
-#endif
 
 } // namespace
 
@@ -377,7 +454,10 @@ int main(int argc, char **argv) {
 
   // Telemetry is always collected: the `stats` request embeds the live
   // report (request latency histograms, cache counters, phase tree).
+  // Spans are kept only for --trace: nothing else reads them, and a
+  // server would otherwise grow by one span per request and batch.
   obs::Telemetry Tele;
+  Tele.setKeepSpans(!O.TraceFile.empty());
   Tele.install();
   obs::EventLog Log;
   if (!O.LogFile.empty())
@@ -385,20 +465,11 @@ int main(int argc, char **argv) {
 
   service::Service Svc(O.Svc);
   MetricsSink Sink{O, Svc};
-  int Rc;
-#ifndef _WIN32
+  int Rc = 0;
   if (!O.SocketPath.empty())
     Rc = serveSocket(O, Svc, Sink);
   else
-    Rc = serveStdio(Svc, Sink);
-#else
-  if (!O.SocketPath.empty()) {
-    err("sestd: --socket is not supported on this platform\n");
-    Rc = 1;
-  } else {
-    Rc = serveStdio(Svc, Sink);
-  }
-#endif
+    serveStream(Svc, Sink, STDIN_FILENO, STDOUT_FILENO);
   // Final snapshot: always written (even for an empty session), so a
   // --metrics file exists and reflects the whole run at exit.
   if (Sink.enabled())
