@@ -179,6 +179,8 @@ struct TierSample {
   double BytecodeCompileMs = 0.0;
   double NativeMs = 0.0;
   double NativeCompileMs = 0.0;
+  double NativeCompileCpuMs = 0.0;
+  unsigned NativeShards = 0;
   bool NativeOk = false;
 };
 
@@ -237,6 +239,8 @@ int runTiersReport(const std::string &Path) {
       if (Artifact) {
         S.NativeOk = true;
         S.NativeCompileMs = Artifact->compileMs();
+        S.NativeCompileCpuMs = Artifact->compileCpuMs();
+        S.NativeShards = Artifact->compileShards();
         InterpOptions NativeOptions;
         NativeOptions.Engine = InterpEngine::Native;
         S.NativeMs = bestOfMs(3, [&] {
@@ -253,7 +257,9 @@ int runTiersReport(const std::string &Path) {
                        "ms, bytecode " + formatDouble(S.BytecodeMs, 2) + "ms";
     if (S.NativeOk)
       Line += ", native " + formatDouble(S.NativeMs, 2) + "ms (cc " +
-              formatDouble(S.NativeCompileMs, 0) + "ms, break-even " +
+              formatDouble(S.NativeCompileMs, 0) + "ms wall, " +
+              formatDouble(S.NativeCompileCpuMs, 0) + "ms cpu, " +
+              std::to_string(S.NativeShards) + " units, break-even " +
               formatDouble(
                   breakevenRuns(S.NativeCompileMs, S.BytecodeMs, S.NativeMs),
                   1) +
@@ -263,7 +269,7 @@ int runTiersReport(const std::string &Path) {
   }
 
   double SuiteAst = 0, SuiteBc = 0, SuiteBcCompile = 0, SuiteNative = 0,
-         SuiteNativeCompile = 0;
+         SuiteNativeCompile = 0, SuiteNativeCompileCpu = 0;
   bool AllNative = NativeAvailable;
   for (const TierSample &S : Samples) {
     SuiteAst += S.AstMs;
@@ -271,6 +277,7 @@ int runTiersReport(const std::string &Path) {
     SuiteBcCompile += S.BytecodeCompileMs;
     SuiteNative += S.NativeMs;
     SuiteNativeCompile += S.NativeCompileMs;
+    SuiteNativeCompileCpu += S.NativeCompileCpuMs;
     AllNative = AllNative && S.NativeOk;
   }
 
@@ -293,6 +300,8 @@ int runTiersReport(const std::string &Path) {
     if (S.NativeOk) {
       W.member("native_ms", S.NativeMs);
       W.member("native_compile_ms", S.NativeCompileMs);
+      W.member("native_compile_cpu_ms", S.NativeCompileCpuMs);
+      W.member("native_compile_shards", static_cast<double>(S.NativeShards));
       W.member("ast_over_native",
                S.NativeMs > 0 ? S.AstMs / S.NativeMs : 0.0);
       W.member("bytecode_over_native",
@@ -312,6 +321,7 @@ int runTiersReport(const std::string &Path) {
   if (AllNative) {
     W.member("native_ms", SuiteNative);
     W.member("native_compile_ms", SuiteNativeCompile);
+    W.member("native_compile_cpu_ms", SuiteNativeCompileCpu);
     W.member("bytecode_over_native",
              SuiteNative > 0 ? SuiteBc / SuiteNative : 0.0);
     W.member("ast_over_native", SuiteNative > 0 ? SuiteAst / SuiteNative : 0.0);

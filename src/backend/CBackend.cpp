@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Lowers a compiled BcModule to one self-contained C translation unit.
-// The emitted runtime (the kRuntime string below) is a transplant of
-// BytecodeVM.cpp's runtime into C: same value representation, same
-// diagnostics byte for byte, same tick placement, same limit checks in
-// the same order. Every instruction of every chunk becomes straight-line
+// Lowers a compiled BcModule to C, as one self-contained translation unit
+// or as a prelude plus groups compiled as separate units (CSourceParts).
+// The emitted runtime (kRuntimeDecls and kRuntimeDefs below) is a
+// transplant of BytecodeVM.cpp's runtime into C: same value
+// representation, same diagnostics byte for byte, same tick placement,
+// same limit checks in the same order. Every instruction of every chunk becomes straight-line
 // C with operands, offsets, strides, conversions, counter addresses and
 // fall-through classification resolved at emission time; the dispatch
 // loop disappears into labels and gotos.
@@ -37,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -139,7 +141,7 @@ std::string dblLit(double D) {
 // The emitted runtime
 //===----------------------------------------------------------------------===//
 //
-// Everything below kRuntime mirrors BytecodeVM.cpp. Value kinds: 0=int,
+// The runtime below mirrors BytecodeVM.cpp. Value kinds: 0=int,
 // 1=double, 2=ptr, 3=fnptr; fn ids stand in for FunctionDecl pointers
 // (-1 = null). Address spaces: 0=null, 1=global, 2=stack, 3+K=heap
 // block K. All message text must stay byte-identical to the VM's.
@@ -181,18 +183,27 @@ typedef struct sest_native_result {
 } sest_native_result;
 )__C__";
 
-const char *kRuntime = R"__C__(
-/* Inlining control: the per-instruction helpers (tick, load/store,
- * arithmetic) must inline into the generated bodies or the native tier
- * pays interpreter-grade call overhead per step; the limit / failure
- * paths must NOT inline or they bloat every such site. Plain `inline`
- * is only a hint gcc -O2 declines for the bigger helpers. */
+// The runtime's prelude half, which opens every translation unit: the
+// value and run-state types, the per-instruction fast paths, and hidden
+// declarations of the generic helpers that kRuntimeDefs defines once per
+// program. Only the fast paths are inlined: the operator switch, memory
+// resolution, the per-step tick loop, builtins and the limit and failure
+// paths are calls, so each body stays cheap to compile.
+const char *kRuntimeDecls = R"__C__(
+/* Inlining control. The per-instruction fast paths (sn_hot) are a few
+ * instructions each and must inline into the generated bodies, which
+ * -O1 does only when told to; the generic helpers (sn_rt) and the
+ * failure paths (sn_cold) are defined once per program and called. */
 #if defined(__GNUC__)
 #define sn_hot static inline __attribute__((always_inline))
-#define sn_cold static __attribute__((noinline, cold))
+#define sn_hidden __attribute__((visibility("hidden")))
+#define sn_rt sn_hidden __attribute__((noinline))
+#define sn_cold sn_hidden __attribute__((noinline, cold))
 #else
 #define sn_hot static inline
-#define sn_cold static
+#define sn_hidden
+#define sn_rt
+#define sn_cold
 #endif
 
 /* -- value cells (Value.h transplant) -- */
@@ -290,6 +301,112 @@ typedef struct rt {
 
 sn_hot int rt_halted(const rt *T) { return T->failed || T->exited; }
 
+/* -- the generic helpers (kRuntimeDefs) -- */
+sn_cold void rt_fail(rt *T, const char *msg);
+sn_cold void rt_fail2(rt *T, const char *a, const char *b, const char *c);
+sn_cold void rt_limit_steps(rt *T);
+sn_cold void rt_limit_call_depth(rt *T, const char *name);
+sn_cold void rt_limit_host_stack(rt *T, const char *name);
+sn_cold void rt_limit_host_frame(rt *T, const char *name);
+sn_rt void rt_tick_n_slow(rt *T, unsigned long long n);
+sn_rt sv *rt_resolve(rt *T, unsigned sp, long long off, int wr);
+sn_rt void rt_copy(rt *T, unsigned dsp, long long doff, unsigned ssp,
+                   long long soff, long long n);
+sn_rt void rt_zero(rt *T, unsigned sp, long long off, long long n);
+sn_rt sv rt_bin(rt *T, int op, const sv *pl, const sv *pr, long long rs,
+                long long ls);
+sn_rt sv rt_builtin(rt *T, int kind, const char *name, long long argbase,
+                    long long nargs);
+
+/* -- step accounting -- */
+sn_hot void rt_tick(rt *T) {
+  T->steps += 1u;
+  *T->cur_self += 1u;
+  T->cycles += T->cost_factor;
+  if (T->steps > T->prm.max_steps) rt_limit_steps(T);
+}
+
+/* One Tick instruction charging n steps. With the unit cost factor the
+ * batched add is exact (all partials are representable), so it equals n
+ * single adds; any other factor, or a run near its step limit, takes
+ * rt_tick_n_slow. */
+sn_hot void rt_tick_n(rt *T, unsigned long long n) {
+  if (T->steps + n <= T->prm.max_steps && T->cost_factor == 1.0) {
+    T->steps += n;
+    *T->cur_self += n;
+    T->cycles += (double)n;
+  } else {
+    rt_tick_n_slow(T, n);
+  }
+}
+
+/* -- memory: in-bounds stack and global cells inline, the rest (heap,
+ * null, failures) through rt_resolve -- */
+sn_hot sv *rt_cell(rt *T, unsigned sp, long long off, int wr) {
+  if (sp == 2u && (unsigned long long)off < (unsigned long long)T->nstack)
+    return T->stack + off;
+  if (sp == 1u && (unsigned long long)off < (unsigned long long)T->nglobals)
+    return T->globals + off;
+  return rt_resolve(T, sp, off, wr);
+}
+sn_hot sv rt_load(rt *T, unsigned sp, long long off) {
+  sv *p = rt_cell(T, sp, off, 0);
+  return p ? *p : sv_int(0);
+}
+sn_hot void rt_store(rt *T, unsigned sp, long long off, sv v) {
+  sv *p = rt_cell(T, sp, off, 1);
+  if (p) *p = v;
+}
+
+/* -- stack / register file growth (zero-filled like the VM's vectors) -- */
+static inline void rt_stack_grow(rt *T, long long n) {
+  if (n > T->capstack) {
+    long long nc = T->capstack ? T->capstack : 64;
+    while (nc < n) nc *= 2;
+    T->stack = (sv *)realloc(T->stack, (size_t)nc * sizeof(sv));
+    T->capstack = nc;
+  }
+  if (n > T->nstack)
+    memset(T->stack + T->nstack, 0, (size_t)(n - T->nstack) * sizeof(sv));
+  T->nstack = n;
+}
+static inline void rt_regs_grow(rt *T, long long n) {
+  if (n <= T->nregs) return;
+  if (n > T->capregs) {
+    long long nc = T->capregs ? T->capregs : 64;
+    while (nc < n) nc *= 2;
+    T->regs = (sv *)realloc(T->regs, (size_t)nc * sizeof(sv));
+    T->capregs = nc;
+  }
+  memset(T->regs + T->nregs, 0, (size_t)(n - T->nregs) * sizeof(sv));
+  T->nregs = n;
+}
+static inline unsigned long long rt_stack_used(rt *T) {
+  char probe;
+  char *here = &probe;
+  return (unsigned long long)(T->host_base > here ? T->host_base - here
+                                                  : here - T->host_base);
+}
+
+/* -- conversions (BytecodeVM::convert, one function per target shape) -- */
+static inline sv cv_int(sv v) { return sv_int(sv_as_int(v)); }
+static inline sv cv_dbl(sv v) { return sv_dbl(sv_as_double(v)); }
+static inline sv cv_pfn(sv v) {
+  if (v.k == 3u) return v;
+  if (v.k == 0u && v.i == 0) return sv_fn(-1);
+  if (v.k == 2u && v.ps == 0u) return sv_fn(-1);
+  return v; /* tolerated; call-through will diagnose */
+}
+static inline sv cv_pdata(sv v) {
+  if (v.k == 2u) return v;
+  if (v.k == 0u) return sv_ptr(0u, v.i);
+  return v;
+}
+)__C__";
+
+// The runtime's definitions, emitted once per program in the part that
+// also holds the entry points.
+const char *kRuntimeDefs = R"__C__(
 /* -- bounded string building (no snprintf: keeps -Werror clean) -- */
 static inline void sb_cat(char *buf, unsigned long long cap,
                           unsigned long long *len, const char *s) {
@@ -416,21 +533,10 @@ sn_cold void rt_limit_host_frame(rt *T, const char *name) {
   rt_fail_usage(T, b);
 }
 
-/* -- step accounting -- */
-sn_hot void rt_tick(rt *T) {
-  T->steps += 1u;
-  *T->cur_self += 1u;
-  T->cycles += T->cost_factor;
-  if (T->steps > T->prm.max_steps) rt_limit_steps(T);
-}
-
-/* One Tick instruction charging n steps. The fast path must reproduce
- * the per-step double accumulation bit-for-bit: with an integral cost
- * factor the batched add is exact (all partials are representable), so
- * it equals n single adds; otherwise fall back to the serial loop. Near
- * the step limit, run strictly per step so a limit trip reports the
- * same step count the VM would. */
-sn_hot void rt_tick_n(rt *T, unsigned long long n) {
+/* Near the step limit, run strictly per step so a limit trip reports the
+ * same step count the VM would; a cost factor other than 1 accumulates
+ * per step, bit for bit as the VM does. */
+sn_rt void rt_tick_n_slow(rt *T, unsigned long long n) {
   unsigned long long i;
   if (T->steps + n > T->prm.max_steps) {
     for (i = 0; i < n; ++i) {
@@ -441,14 +547,11 @@ sn_hot void rt_tick_n(rt *T, unsigned long long n) {
   }
   T->steps += n;
   *T->cur_self += n;
-  if (T->cost_factor == 1.0)
-    T->cycles += (double)n;
-  else
-    for (i = 0; i < n; ++i) T->cycles += T->cost_factor;
+  for (i = 0; i < n; ++i) T->cycles += T->cost_factor;
 }
 
 /* -- memory -- */
-sn_hot sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
+sn_rt sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
   const char *what = wr ? "write" : "read";
   if (sp == 0u) {
     rt_fail2(T, "null pointer ", what, 0);
@@ -485,55 +588,17 @@ sn_hot sv *rt_resolve(rt *T, unsigned sp, long long off, int wr) {
     return T->heap[idx].cells + off;
   }
 }
-sn_hot sv rt_load(rt *T, unsigned sp, long long off) {
-  sv *p = rt_resolve(T, sp, off, 0);
-  return p ? *p : sv_int(0);
-}
-sn_hot void rt_store(rt *T, unsigned sp, long long off, sv v) {
-  sv *p = rt_resolve(T, sp, off, 1);
-  if (p) *p = v;
-}
-static inline void rt_copy(rt *T, unsigned dsp, long long doff, unsigned ssp,
-                           long long soff, long long n) {
+sn_rt void rt_copy(rt *T, unsigned dsp, long long doff, unsigned ssp,
+                   long long soff, long long n) {
   long long i;
   for (i = 0; i < n && !rt_halted(T); ++i) {
     sv v = rt_load(T, ssp, soff + i);
     rt_store(T, dsp, doff + i, v);
   }
 }
-static inline void rt_zero(rt *T, unsigned sp, long long off, long long n) {
+sn_rt void rt_zero(rt *T, unsigned sp, long long off, long long n) {
   long long i;
   for (i = 0; i < n; ++i) rt_store(T, sp, off + i, sv_int(0));
-}
-
-/* -- stack / register file growth (zero-filled like the VM's vectors) -- */
-static inline void rt_stack_grow(rt *T, long long n) {
-  if (n > T->capstack) {
-    long long nc = T->capstack ? T->capstack : 64;
-    while (nc < n) nc *= 2;
-    T->stack = (sv *)realloc(T->stack, (size_t)nc * sizeof(sv));
-    T->capstack = nc;
-  }
-  if (n > T->nstack)
-    memset(T->stack + T->nstack, 0, (size_t)(n - T->nstack) * sizeof(sv));
-  T->nstack = n;
-}
-static inline void rt_regs_grow(rt *T, long long n) {
-  if (n <= T->nregs) return;
-  if (n > T->capregs) {
-    long long nc = T->capregs ? T->capregs : 64;
-    while (nc < n) nc *= 2;
-    T->regs = (sv *)realloc(T->regs, (size_t)nc * sizeof(sv));
-    T->capregs = nc;
-  }
-  memset(T->regs + T->nregs, 0, (size_t)(n - T->nregs) * sizeof(sv));
-  T->nregs = n;
-}
-static inline unsigned long long rt_stack_used(rt *T) {
-  char probe;
-  char *here = &probe;
-  return (unsigned long long)(T->host_base > here ? T->host_base - here
-                                                  : here - T->host_base);
 }
 
 /* -- output buffer -- */
@@ -613,24 +678,13 @@ static inline long long rt_read_int(rt *T) {
   return neg ? -v : v;
 }
 
-/* -- conversions (BytecodeVM::convert, one function per target shape) -- */
-static inline sv cv_int(sv v) { return sv_int(sv_as_int(v)); }
-static inline sv cv_dbl(sv v) { return sv_dbl(sv_as_double(v)); }
-static inline sv cv_pfn(sv v) {
-  if (v.k == 3u) return v;
-  if (v.k == 0u && v.i == 0) return sv_fn(-1);
-  if (v.k == 2u && v.ps == 0u) return sv_fn(-1);
-  return v; /* tolerated; call-through will diagnose */
-}
-static inline sv cv_pdata(sv v) {
-  if (v.k == 2u) return v;
-  if (v.k == 0u) return sv_ptr(0u, v.i);
-  return v;
-}
-
-/* -- binary operators (BytecodeVM::applyBinary; op = BinaryOp int) -- */
-sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
-                        long long ls) {
+/* -- binary operators (BytecodeVM::applyBinary; op = BinaryOp int) --
+ * The generic path: the bodies inline the int/int and double/double
+ * cases and call this for everything else. INT64_MIN / -1 and % -1
+ * wrap like + - * instead of trapping. */
+sn_rt sv rt_bin(rt *T, int op, const sv *pl, const sv *pr, long long rs,
+                long long ls) {
+  sv l = *pl, r = *pr;
   switch (op) {
   case 0: /* Add */
     if (l.k == 2u || r.k == 2u) {
@@ -670,12 +724,15 @@ sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
       rt_fail(T, "integer division by zero");
       return sv_int(0);
     }
+    if (sv_as_int(r) == -1)
+      return sv_int((long long)(0u - (unsigned long long)sv_as_int(l)));
     return sv_int(sv_as_int(l) / sv_as_int(r));
   case 4: /* Rem */
     if (sv_as_int(r) == 0) {
       rt_fail(T, "integer remainder by zero");
       return sv_int(0);
     }
+    if (sv_as_int(r) == -1) return sv_int(0);
     return sv_int(sv_as_int(l) % sv_as_int(r));
   case 5: { /* Shl */
     long long sh = sv_as_int(r);
@@ -743,8 +800,8 @@ sn_hot sv rt_bin(rt *T, int op, sv l, sv r, long long rs,
 }
 
 /* -- builtins (BytecodeVM::doBuiltin; kind = BuiltinKind int) -- */
-static inline sv rt_builtin(rt *T, int kind, const char *name,
-                            long long argbase, long long nargs) {
+sn_rt sv rt_builtin(rt *T, int kind, const char *name, long long argbase,
+                    long long nargs) {
   sv a0 = nargs > 0 ? T->regs[argbase] : sv_int(0);
   switch (kind) {
   case 1: { /* print_int */
@@ -864,13 +921,60 @@ namespace {
 // The emitter
 //===----------------------------------------------------------------------===//
 
+/// The inline fast paths of one BinOp over operands `l` and `r`: the
+/// int/int case (when IntGuard also holds) and the double/double case.
+/// An empty expression has no fast path; everything else calls rt_bin.
+struct FastBin {
+  std::string IntGuard, Int, Dbl;
+};
+
+FastBin fastBin(BinaryOp Op) {
+  if (Op == BinaryOp::LogicalAnd || Op == BinaryOp::LogicalOr)
+    return {};
+  std::string Sp = binaryOpSpelling(Op);
+  FastBin F{"", "sv_int(l->i " + Sp + " r->i)", ""};
+  switch (Op) {
+  case BinaryOp::Add:
+  case BinaryOp::Sub:
+  case BinaryOp::Mul:
+    F.Dbl = "sv_dbl(l->d " + Sp + " r->d)";
+    break;
+  case BinaryOp::Lt:
+  case BinaryOp::Gt:
+    F.Dbl = "sv_int(l->d " + Sp + " r->d)";
+    break;
+  // rt_bin compares doubles three-way, so NaN <= x and NaN >= x are 1.
+  case BinaryOp::Le:
+    F.Dbl = "sv_int(!(l->d > r->d))";
+    break;
+  case BinaryOp::Ge:
+    F.Dbl = "sv_int(!(l->d < r->d))";
+    break;
+  // rt_bin fails on a zero divisor or a shift count out of range, and
+  // wraps a -1 divisor instead of trapping.
+  case BinaryOp::Div:
+  case BinaryOp::Rem:
+    F.IntGuard = " && r->i != 0 && r->i != -1";
+    break;
+  case BinaryOp::Shl:
+    F.Int = "sv_int((long long)((unsigned long long)l->i << r->i))";
+    [[fallthrough]];
+  case BinaryOp::Shr:
+    F.IntGuard = " && (unsigned long long)r->i < 64u";
+    break;
+  default:
+    break;
+  }
+  return F;
+}
+
 class CEmitter {
 public:
   CEmitter(const TranslationUnit &Unit, const CfgModule &Cfgs,
            const BcModule &Bc, const NativeLayoutPlan &Plan)
       : Unit(Unit), Cfgs(Cfgs), Bc(Bc), Plan(Plan) {}
 
-  bool emit(std::string &Out);
+  bool emit(CSourceParts &Out);
   const std::string &error() const { return Err; }
 
 private:
@@ -1323,11 +1427,21 @@ bool CEmitter::emitInstr(FnState &St, size_t Off) {
         " = " + (Pre ? "newv" : "oldv") + "; }\n";
     return true;
   }
-  case BcOp::BinOp:
-    O = "  { sv v = rt_bin(T, " + std::to_string(I.Sub) + ", " + RS(I.B) +
-        ", " + RS(I.C) + ", " + i64Lit(I.X) + ", " + i64Lit(I.Imm) + "); " +
-        HltIf + " " + RS(I.A) + " = v; }\n";
+  case BcOp::BinOp: {
+    FastBin F = fastBin(static_cast<BinaryOp>(I.Sub));
+    std::string Slow = "{ sv v = rt_bin(T, " + std::to_string(I.Sub) +
+                       ", l, r, " + i64Lit(I.X) + ", " + i64Lit(I.Imm) +
+                       "); " + HltIf + " " + RS(I.A) + " = v; }";
+    O = "  { const sv *l = &" + RS(I.B) + ", *r = &" + RS(I.C) + ";\n    ";
+    if (!F.Int.empty())
+      O += "if (l->k == 0u && r->k == 0u" + F.IntGuard + ") " + RS(I.A) +
+           " = " + F.Int + ";\n    else ";
+    if (!F.Dbl.empty())
+      O += "if (l->k == 1u && r->k == 1u) " + RS(I.A) + " = " + F.Dbl +
+           ";\n    else ";
+    O += Slow + " }\n";
     return true;
+  }
   case BcOp::Conv: {
     const auto *Ty = static_cast<const Type *>(I.Ptr);
     O = "  " + RS(I.A) + " = " + convExpr(Ty, RS(I.B)) + ";\n";
@@ -1618,7 +1732,7 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
   const BcChunk *Ch =
       Fid < Bc.Chunks.size() ? Bc.Chunks[Fid].get() : nullptr;
   std::string Name = cstr(F->name());
-  Out += "static sv call_" + N +
+  Out += "sn_hidden sv call_" + N +
          "(rt *T, long long argbase, long long nargs, long long newrb) {\n";
   if (!Ch) {
     Out += "  (void)argbase; (void)nargs; (void)newrb;\n";
@@ -1689,7 +1803,7 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
          "  T->frame_base = saved_base;\n  return ret;\n}\n\n";
 }
 
-bool CEmitter::emit(std::string &Out) {
+bool CEmitter::emit(CSourceParts &Out) {
   // Mirror BytecodeVM::run's main checks up front; the host driver turns
   // these into the VM's canned RunResults (fresh result, Error only).
   const FunctionDecl *Main = Unit.findFunction("main");
@@ -1742,26 +1856,42 @@ bool CEmitter::emit(std::string &Out) {
   if (!generateChunk(InitSt))
     return false;
 
-  // ---- assemble the translation unit ----
-  Out += "/* Generated by the sest C backend; do not edit.\n"
-         "   Standalone lowering of one program + layout plan; ABI in\n"
-         "   src/backend/NativeAbi.h (version 1). */\n";
-  Out += "#include <stdlib.h>\n#include <string.h>\n#include <stdio.h>\n"
-         "#include <math.h>\n\n";
+  // ---- the prelude: opens every translation unit ----
+  std::string &P = Out.Prelude;
+  P += "/* Generated by the sest C backend; do not edit.\n"
+       "   Standalone lowering of one program + layout plan; ABI in\n"
+       "   src/backend/NativeAbi.h (version 1). */\n";
+  P += "#include <stdlib.h>\n#include <string.h>\n#include <stdio.h>\n"
+       "#include <math.h>\n\n";
   auto Max1 = [](int64_t N) { return std::to_string(N > 0 ? N : 1); };
-  Out += "#define SN_NFUNCS1 " + Max1(static_cast<int64_t>(NFuncs)) + "\n";
-  Out += "#define SN_NBLK1 " + Max1(Shape.TotalBlocks) + "\n";
-  Out += "#define SN_NARC1 " + Max1(Shape.TotalArcs) + "\n";
-  Out += "#define SN_NCS1 " + Max1(static_cast<int64_t>(Unit.NumCallSites)) +
-         "\n";
-  Out += kAbiText;
-  Out += kRuntime;
+  P += "#define SN_NFUNCS1 " + Max1(static_cast<int64_t>(NFuncs)) + "\n";
+  P += "#define SN_NBLK1 " + Max1(Shape.TotalBlocks) + "\n";
+  P += "#define SN_NARC1 " + Max1(Shape.TotalArcs) + "\n";
+  P += "#define SN_NCS1 " + Max1(static_cast<int64_t>(Unit.NumCallSites)) +
+       "\n";
+  P += kAbiText;
+  P += kRuntimeDecls;
+  // Everything one unit may reference in another: the StrCopyLoc string
+  // pools, every call wrapper, and indirect dispatch.
+  P += "\n";
+  for (size_t I = 0; I < PoolOrder.size(); ++I)
+    if (!PoolOrder[I]->value().empty())
+      P += "sn_hidden extern const unsigned char ss_" + std::to_string(I) +
+           "[];\n";
+  for (size_t Fid = 0; Fid < NFuncs; ++Fid)
+    P += "sn_hidden sv call_" + std::to_string(Fid) +
+         "(rt *T, long long argbase, long long nargs, long long newrb);\n";
+  if (HasIndirect)
+    P += "sn_hidden sv rt_call_indirect(rt *T, int fid, long long argbase, "
+         "long long nargs, long long newrb);\n";
 
+  // ---- group 0: the runtime definitions, tables and entry points ----
+  std::string &R = Out.Groups.emplace_back(kRuntimeDefs);
   // String pools: sl_<i> back the string-table's startup global fill,
   // ss_<k> back StrCopyLoc initializers. Empty strings need no bytes.
-  auto EmitBytes = [](std::string &O, const std::string &Name,
+  auto EmitBytes = [](std::string &O, const std::string &Decl,
                       const std::string &S) {
-    O += "static const unsigned char " + Name + "[] = {";
+    O += Decl + "[] = {";
     for (size_t I = 0; I < S.size(); ++I) {
       if (I % 16 == 0)
         O += "\n  ";
@@ -1769,45 +1899,26 @@ bool CEmitter::emit(std::string &Out) {
     }
     O += "\n};\n";
   };
+  R += "\n";
   for (size_t I = 0; I < Unit.StringTable.size(); ++I)
     if (!Unit.StringTable[I].empty())
-      EmitBytes(Out, "sl_" + std::to_string(I), Unit.StringTable[I]);
+      EmitBytes(R, "static const unsigned char sl_" + std::to_string(I),
+                Unit.StringTable[I]);
   for (size_t I = 0; I < PoolOrder.size(); ++I)
     if (!PoolOrder[I]->value().empty())
-      EmitBytes(Out, "ss_" + std::to_string(I), PoolOrder[I]->value());
-  Out += "\n";
-
-  for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
-    std::string N = std::to_string(Fid);
-    if (Fid < Bc.Chunks.size() && Bc.Chunks[Fid]) {
-      Out += "static sv fn_" + N + "(rt *T, long long rb);\n";
-      if (States[Fid].HasCold)
-        Out += "static void fn_" + N +
-               "_cold(rt *T, long long rb, int entry, sv *retv, int "
-               "*resume);\n";
-    }
-    Out += "static sv call_" + N +
-           "(rt *T, long long argbase, long long nargs, long long "
-           "newrb);\n";
-  }
-  if (HasIndirect)
-    Out += "static sv rt_call_indirect(rt *T, int fid, long long argbase, "
-           "long long nargs, long long newrb);\n";
-  Out += "\n";
-
-  // Referenced from sest_native_run so every wrapper counts as used
-  // under -Wall -Werror even when nothing calls it.
-  Out += "typedef sv (*sn_callfn)(rt *, long long, long long, long "
-         "long);\n";
-  Out += "static const sn_callfn SN_CALLS[] = {";
-  for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
-    if (Fid % 8 == 0)
-      Out += "\n  ";
-    Out += "call_" + std::to_string(Fid) + ",";
-  }
-  Out += "\n};\n\n";
+      EmitBytes(R, "sn_hidden const unsigned char ss_" + std::to_string(I),
+                PoolOrder[I]->value());
+  R += "\n";
 
   if (HasIndirect) {
+    R += "typedef sv (*sn_callfn)(rt *, long long, long long, long long);\n";
+    R += "static const sn_callfn SN_CALLS[] = {";
+    for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
+      if (Fid % 8 == 0)
+        R += "\n  ";
+      R += "call_" + std::to_string(Fid) + ",";
+    }
+    R += "\n};\n\n";
     for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
       const FunctionDecl *F = ByFid[Fid];
       if (!F)
@@ -1818,16 +1929,16 @@ bool CEmitter::emit(std::string &Out) {
         AnyStruct = AnyStruct || (Ty && Ty->isStruct());
       if (!AnyStruct)
         continue;
-      Out += "static const unsigned char sn_ps_" + std::to_string(Fid) +
-             "[] = {";
+      R += "static const unsigned char sn_ps_" + std::to_string(Fid) +
+           "[] = {";
       for (const Type *Ty : PT)
-        Out += (Ty && Ty->isStruct()) ? "1," : "0,";
-      Out += "};\n";
+        R += (Ty && Ty->isStruct()) ? "1," : "0,";
+      R += "};\n";
     }
-    Out += "typedef struct sn_fninfo { const char *name; int builtin; "
-           "long long nparams; const unsigned char *pstruct; } "
-           "sn_fninfo;\n";
-    Out += "static const sn_fninfo SN_FNS[] = {";
+    R += "typedef struct sn_fninfo { const char *name; int builtin; "
+         "long long nparams; const unsigned char *pstruct; } "
+         "sn_fninfo;\n";
+    R += "static const sn_fninfo SN_FNS[] = {";
     for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
       const FunctionDecl *F = ByFid[Fid];
       std::string Name = F ? cstr(F->name()) : "\"\"";
@@ -1837,120 +1948,121 @@ bool CEmitter::emit(std::string &Out) {
       if (F)
         for (const Type *Ty : F->type()->params())
           AnyStruct = AnyStruct || (Ty && Ty->isStruct());
-      Out += "\n  { " + Name + ", " + std::to_string(BK) + ", " +
-             std::to_string(NP) + ", " +
-             (AnyStruct ? "sn_ps_" + std::to_string(Fid) : std::string("0")) +
-             " },";
+      R += "\n  { " + Name + ", " + std::to_string(BK) + ", " +
+           std::to_string(NP) + ", " +
+           (AnyStruct ? "sn_ps_" + std::to_string(Fid) : std::string("0")) +
+           " },";
     }
-    Out += "\n};\n";
+    R += "\n};\n";
     // Mirrors the VM's CallIndirect handler: struct-parameter guard
     // against the resolved callee, builtins routed to rt_builtin.
-    Out += "static sv rt_call_indirect(rt *T, int fid, long long argbase, "
-           "long long nargs, long long newrb) {\n"
-           "  const sn_fninfo *f = &SN_FNS[fid];\n"
-           "  long long a;\n"
-           "  for (a = 0; a < nargs && a < f->nparams; ++a)\n"
-           "    if (f->pstruct && f->pstruct[a] && T->regs[argbase + a].k "
-           "!= 2u) {\n"
-           "      rt_fail(T, \"struct argument is not an aggregate\");\n"
-           "      return sv_int(0);\n"
-           "    }\n"
-           "  if (f->builtin) return rt_builtin(T, f->builtin, f->name, "
-           "argbase, nargs);\n"
-           "  return SN_CALLS[fid](T, argbase, nargs, newrb);\n"
-           "}\n\n";
+    R += "sn_hidden sv rt_call_indirect(rt *T, int fid, long long argbase, "
+         "long long nargs, long long newrb) {\n"
+         "  const sn_fninfo *f = &SN_FNS[fid];\n"
+         "  long long a;\n"
+         "  for (a = 0; a < nargs && a < f->nparams; ++a)\n"
+         "    if (f->pstruct && f->pstruct[a] && T->regs[argbase + a].k "
+         "!= 2u) {\n"
+         "      rt_fail(T, \"struct argument is not an aggregate\");\n"
+         "      return sv_int(0);\n"
+         "    }\n"
+         "  if (f->builtin) return rt_builtin(T, f->builtin, f->name, "
+         "argbase, nargs);\n"
+         "  return SN_CALLS[fid](T, argbase, nargs, newrb);\n"
+         "}\n\n";
   }
 
   // Global initializer: straight-line, original order (no profiling).
-  Out += "static void sn_global_init(rt *T) {\n  sv *R = T->regs;\n  "
-         "(void)R;\n";
+  R += "static void sn_global_init(rt *T) {\n  sv *R = T->regs;\n  "
+       "(void)R;\n";
   for (size_t I = 0; I < InitSt.Ch->Code.size(); ++I) {
     if (InitSt.HotLabels.count(I))
-      Out += "L" + std::to_string(I) + ": ;\n";
-    Out += InitSt.InstrText[I];
+      R += "L" + std::to_string(I) + ": ;\n";
+    R += InitSt.InstrText[I];
   }
-  Out += "}\n\n";
-
-  for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
-    if (!ByFid[Fid])
-      continue;
-    if (Fid < Bc.Chunks.size() && Bc.Chunks[Fid])
-      emitFnBodies(States[Fid], Out);
-    emitWrapper(ByFid[Fid], Out);
-  }
+  R += "}\n\n";
 
   std::string MainFid = std::to_string(Main->functionId());
-  Out += "int sest_native_run(const sest_native_params *prm, "
-         "sest_native_result *res) {\n"
-         "  char anchor;\n"
-         "  sv ret;\n"
-         "  rt *T = (rt *)calloc(1, sizeof(rt));\n"
-         "  if (!T) return 1;\n"
-         "  (void)SN_CALLS;\n"
-         "  T->prm = *prm;\n"
-         "  T->cost_factor = 1.0;\n"
-         "  T->cur_self = &T->self_dummy;\n"
-         "  T->host_base = &anchor;\n"
-         "  rt_seed(T, prm->rand_seed);\n";
-  Out += "  T->nglobals = " + std::to_string(NGlobals) + ";\n";
-  Out += "  T->globals = (sv *)calloc(" + Max1(NGlobals) +
-         ", sizeof(sv));\n"
-         "  if (!T->globals) { free(T); return 1; }\n";
+  R += "int sest_native_run(const sest_native_params *prm, "
+       "sest_native_result *res) {\n"
+       "  char anchor;\n"
+       "  sv ret;\n"
+       "  rt *T = (rt *)calloc(1, sizeof(rt));\n"
+       "  if (!T) return 1;\n"
+       "  T->prm = *prm;\n"
+       "  T->cost_factor = 1.0;\n"
+       "  T->cur_self = &T->self_dummy;\n"
+       "  T->host_base = &anchor;\n"
+       "  rt_seed(T, prm->rand_seed);\n";
+  R += "  T->nglobals = " + std::to_string(NGlobals) + ";\n";
+  R += "  T->globals = (sv *)calloc(" + Max1(NGlobals) +
+       ", sizeof(sv));\n"
+       "  if (!T->globals) { free(T); return 1; }\n";
   for (size_t I = 0; I < Unit.StringTable.size(); ++I) {
     const std::string &S = Unit.StringTable[I];
     if (S.empty())
       continue;
-    Out += "  { long long j; for (j = 0; j < " + std::to_string(S.size()) +
-           "; ++j) T->globals[" + i64Lit(StringBase[I]) +
-           " + j] = sv_int((long long)sl_" + std::to_string(I) + "[j]); }\n";
+    R += "  { long long j; for (j = 0; j < " + std::to_string(S.size()) +
+         "; ++j) T->globals[" + i64Lit(StringBase[I]) +
+         " + j] = sv_int((long long)sl_" + std::to_string(I) + "[j]); }\n";
   }
-  Out += "  rt_regs_grow(T, " + std::to_string(Bc.GlobalInit.NumRegs) +
-         ");\n"
-         "  sn_global_init(T);\n"
-         "  ret = sv_int(0);\n"
-         "  if (!rt_halted(T)) ret = call_" +
-         MainFid +
-         "(T, 0, 0, 0);\n"
-         "  res->ok = T->failed ? 0 : 1;\n"
-         "  res->limit = T->limit;\n"
-         "  res->exit_code = T->exited ? T->exit_val : sv_as_int(ret);\n"
-         "  res->steps = T->steps;\n"
-         "  res->heap_hw = T->heap_hw;\n"
-         "  res->call_depth_hw = T->call_depth_hw;\n"
-         "  res->lc_fall = T->lc_fall;\n"
-         "  res->lc_taken = T->lc_taken;\n"
-         "  res->lc_calls = T->lc_calls;\n"
-         "  res->lc_rets = T->lc_rets;\n"
-         "  res->cycles = T->cycles;\n"
-         "  res->output = T->out ? T->out : \"\";\n"
-         "  res->output_len = T->out_len;\n"
-         "  res->error = T->err;\n"
-         "  res->error_len = strlen(T->err);\n"
-         "  res->blocks = T->blk;\n"
-         "  res->arcs = T->arc;\n"
-         "  res->entries = T->entry;\n"
-         "  res->callsites = T->cs;\n"
-         "  res->self_steps = T->self;\n"
-         "  res->impl = T;\n"
-         "  return 0;\n"
-         "}\n\n";
-  Out += "void sest_native_free(sest_native_result *res) {\n"
-         "  rt *T = (rt *)res->impl;\n"
-         "  long long i;\n"
-         "  if (!T) return;\n"
-         "  for (i = 0; i < T->nheap; ++i) free(T->heap[i].cells);\n"
-         "  free(T->heap);\n"
-         "  free(T->globals);\n"
-         "  free(T->stack);\n"
-         "  free(T->regs);\n"
-         "  free(T->out);\n"
-         "  free(T);\n"
-         "  res->impl = 0;\n"
-         "}\n\n";
-  Out += "const unsigned long long sest_native_shape[5] = { 1u, " +
-         std::to_string(NFuncs) + "u, " + std::to_string(Shape.TotalBlocks) +
-         "u, " + std::to_string(Shape.TotalArcs) + "u, " +
-         std::to_string(Unit.NumCallSites) + "u };\n";
+  R += "  rt_regs_grow(T, " + std::to_string(Bc.GlobalInit.NumRegs) +
+       ");\n"
+       "  sn_global_init(T);\n"
+       "  ret = sv_int(0);\n"
+       "  if (!rt_halted(T)) ret = call_" +
+       MainFid +
+       "(T, 0, 0, 0);\n"
+       "  res->ok = T->failed ? 0 : 1;\n"
+       "  res->limit = T->limit;\n"
+       "  res->exit_code = T->exited ? T->exit_val : sv_as_int(ret);\n"
+       "  res->steps = T->steps;\n"
+       "  res->heap_hw = T->heap_hw;\n"
+       "  res->call_depth_hw = T->call_depth_hw;\n"
+       "  res->lc_fall = T->lc_fall;\n"
+       "  res->lc_taken = T->lc_taken;\n"
+       "  res->lc_calls = T->lc_calls;\n"
+       "  res->lc_rets = T->lc_rets;\n"
+       "  res->cycles = T->cycles;\n"
+       "  res->output = T->out ? T->out : \"\";\n"
+       "  res->output_len = T->out_len;\n"
+       "  res->error = T->err;\n"
+       "  res->error_len = strlen(T->err);\n"
+       "  res->blocks = T->blk;\n"
+       "  res->arcs = T->arc;\n"
+       "  res->entries = T->entry;\n"
+       "  res->callsites = T->cs;\n"
+       "  res->self_steps = T->self;\n"
+       "  res->impl = T;\n"
+       "  return 0;\n"
+       "}\n\n";
+  R += "void sest_native_free(sest_native_result *res) {\n"
+       "  rt *T = (rt *)res->impl;\n"
+       "  long long i;\n"
+       "  if (!T) return;\n"
+       "  for (i = 0; i < T->nheap; ++i) free(T->heap[i].cells);\n"
+       "  free(T->heap);\n"
+       "  free(T->globals);\n"
+       "  free(T->stack);\n"
+       "  free(T->regs);\n"
+       "  free(T->out);\n"
+       "  free(T);\n"
+       "  res->impl = 0;\n"
+       "}\n\n";
+  R += "const unsigned long long sest_native_shape[5] = { 1u, " +
+       std::to_string(NFuncs) + "u, " + std::to_string(Shape.TotalBlocks) +
+       "u, " + std::to_string(Shape.TotalArcs) + "u, " +
+       std::to_string(Unit.NumCallSites) + "u };\n";
+
+  // ---- one group per function: fn_N, fn_N_cold and call_N ----
+  for (size_t Fid = 0; Fid < NFuncs; ++Fid) {
+    if (!ByFid[Fid])
+      continue;
+    std::string &G = Out.Groups.emplace_back("\n");
+    if (Fid < Bc.Chunks.size() && Bc.Chunks[Fid])
+      emitFnBodies(States[Fid], G);
+    emitWrapper(ByFid[Fid], G);
+  }
   return true;
 }
 
@@ -1960,19 +2072,60 @@ bool CEmitter::emit(std::string &Out) {
 // CBackend entry points (compile/available live in Native.cpp)
 //===----------------------------------------------------------------------===//
 
+std::string CSourceParts::singleUnit() const {
+  std::string Out = Prelude;
+  for (const std::string &G : Groups)
+    Out += G;
+  return Out;
+}
+
+std::vector<std::string> CSourceParts::shards(unsigned K) const {
+  size_t N = std::min<size_t>(std::max(K, 1u), Groups.size());
+  // Longest processing time first: each group, largest first, joins the
+  // lightest shard so far (ties to the lowest index).
+  std::vector<size_t> BySize(Groups.size());
+  std::iota(BySize.begin(), BySize.end(), size_t{0});
+  std::stable_sort(BySize.begin(), BySize.end(), [&](size_t A, size_t B) {
+    return Groups[A].size() > Groups[B].size();
+  });
+  std::vector<size_t> Load(N, 0);
+  std::vector<std::vector<size_t>> Members(N);
+  for (size_t G : BySize) {
+    size_t S = static_cast<size_t>(
+        std::min_element(Load.begin(), Load.end()) - Load.begin());
+    Load[S] += Groups[G].size();
+    Members[S].push_back(G);
+  }
+  std::vector<std::string> Out(N, Prelude);
+  for (size_t S = 0; S < N; ++S) {
+    std::sort(Members[S].begin(), Members[S].end());
+    for (size_t G : Members[S])
+      Out[S] += Groups[G];
+  }
+  return Out;
+}
+
+bool CBackend::emitParts(const TranslationUnit &Unit, const CfgModule &Cfgs,
+                         const bc::BcModule &Bc, const NativeLayoutPlan &Plan,
+                         CSourceParts &Out, std::string *Error) const {
+  CEmitter E(Unit, Cfgs, Bc, Plan);
+  Out = CSourceParts();
+  if (E.emit(Out))
+    return true;
+  if (Error)
+    *Error = E.error();
+  return false;
+}
+
 std::string CBackend::emitSource(const TranslationUnit &Unit,
                                  const CfgModule &Cfgs,
                                  const bc::BcModule &Bc,
                                  const NativeLayoutPlan &Plan,
                                  std::string *Error) const {
-  CEmitter E(Unit, Cfgs, Bc, Plan);
-  std::string Out;
-  if (!E.emit(Out)) {
-    if (Error)
-      *Error = E.error();
+  CSourceParts Parts;
+  if (!emitParts(Unit, Cfgs, Bc, Plan, Parts, Error))
     return "";
-  }
-  return Out;
+  return Parts.singleUnit();
 }
 
 const Backend &sest::backend::cBackend() {

@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The host side of the native tier: probe for a C compiler, drive it over
-// the CBackend's generated translation unit, dlopen the shared object,
+// the CBackend's generated source (one translation unit, or shards
+// compiled at once and linked into one object), dlopen the shared object,
 // verify the ABI handshake, and decode sest_native_result back into the
 // RunResult contract. Loaded artifacts are memoized process-wide by
 // generated-source content hash; the hook registration at the bottom
@@ -22,6 +23,7 @@
 #include "interp/bytecode/BytecodeCompiler.h"
 #include "lang/Ast.h"
 #include "lang/Type.h"
+#include "obs/Parallel.h"
 #include "obs/Telemetry.h"
 #include "support/Hash.h"
 
@@ -29,6 +31,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -36,10 +39,13 @@
 
 #include <dlfcn.h>
 #include <fcntl.h>
-#include <sys/stat.h>
+#include <spawn.h>
+#include <sys/resource.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+extern char **environ;
 
 using namespace sest;
 using namespace sest::backend;
@@ -93,49 +99,134 @@ std::string probeCompiler() {
   return "";
 }
 
-/// Runs Argv[0] with stderr redirected to \p StderrPath. Returns true on
-/// exit status 0; otherwise fills \p Error with the captured stderr.
-bool runCommand(const std::vector<std::string> &Argv,
-                const std::string &StderrPath, std::string *Error) {
-  pid_t Pid = ::fork();
-  if (Pid < 0) {
-    if (Error)
-      *Error = "fork failed: " + std::string(std::strerror(errno));
-    return false;
+/// One host compiler or linker invocation.
+struct Command {
+  std::vector<std::string> Argv;
+  std::string StderrPath;
+};
+
+/// Starts every command at once and waits for all of them, adding the
+/// children's user + system CPU time to \p CpuMs. posix_spawn with argv
+/// built beforehand: the child of a multi-threaded process must not
+/// allocate before it execs. True when every command exits 0; otherwise
+/// \p Error gets the first failure with its captured stderr.
+bool runConcurrently(const std::vector<Command> &Cmds, double &CpuMs,
+                     std::string *Error) {
+  std::vector<std::vector<char *>> Args(Cmds.size());
+  for (size_t I = 0; I < Cmds.size(); ++I) {
+    for (const std::string &A : Cmds[I].Argv)
+      Args[I].push_back(const_cast<char *>(A.c_str()));
+    Args[I].push_back(nullptr);
   }
-  if (Pid == 0) {
-    int Fd = ::open(StderrPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (Fd >= 0) {
-      ::dup2(Fd, 2);
-      ::close(Fd);
+  std::vector<pid_t> Pids(Cmds.size(), -1);
+  std::string Err;
+  for (size_t I = 0; I < Cmds.size(); ++I) {
+    posix_spawn_file_actions_t Actions;
+    ::posix_spawn_file_actions_init(&Actions);
+    ::posix_spawn_file_actions_addopen(&Actions, 2,
+                                       Cmds[I].StderrPath.c_str(),
+                                       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    int Rc = ::posix_spawn(&Pids[I], Args[I][0], &Actions, nullptr,
+                           Args[I].data(), environ);
+    ::posix_spawn_file_actions_destroy(&Actions);
+    if (Rc != 0) {
+      Pids[I] = -1;
+      Err = "cannot start " + Cmds[I].Argv[0] + ": " + std::strerror(Rc);
+      break;
     }
-    std::vector<char *> Args;
-    Args.reserve(Argv.size() + 1);
-    for (const std::string &A : Argv)
-      Args.push_back(const_cast<char *>(A.c_str()));
-    Args.push_back(nullptr);
-    ::execv(Args[0], Args.data());
-    _exit(127);
   }
-  int Status = 0;
-  while (::waitpid(Pid, &Status, 0) < 0 && errno == EINTR) {
-  }
-  if (WIFEXITED(Status) && WEXITSTATUS(Status) == 0)
-    return true;
-  if (Error) {
-    std::ifstream In(StderrPath);
+  for (size_t I = 0; I < Cmds.size(); ++I) {
+    if (Pids[I] < 0)
+      continue;
+    int Status = 0;
+    rusage Usage{};
+    while (::wait4(Pids[I], &Status, 0, &Usage) < 0 && errno == EINTR) {
+    }
+    CpuMs += (Usage.ru_utime.tv_sec + Usage.ru_stime.tv_sec) * 1e3 +
+             (Usage.ru_utime.tv_usec + Usage.ru_stime.tv_usec) / 1e3;
+    if (!Err.empty() || (WIFEXITED(Status) && WEXITSTATUS(Status) == 0))
+      continue;
+    std::ifstream In(Cmds[I].StderrPath);
     std::stringstream SS;
     SS << In.rdbuf();
     std::string Diag = SS.str();
     if (Diag.size() > 4000)
       Diag.resize(4000);
-    *Error = Argv[0] + " failed";
+    Err = Cmds[I].Argv[0] + " failed";
     if (WIFEXITED(Status))
-      *Error += " (exit " + std::to_string(WEXITSTATUS(Status)) + ")";
+      Err += " (exit " + std::to_string(WEXITSTATUS(Status)) + ")";
     if (!Diag.empty())
-      *Error += ":\n" + Diag;
+      Err += ":\n" + Diag;
   }
+  if (Err.empty())
+    return true;
+  if (Error)
+    *Error = Err;
   return false;
+}
+
+/// Compiles \p Units (one self-contained unit, or shards) into a shared
+/// object and dlopens it. The build directory is removed before this
+/// returns, on every path: a loaded object survives its unlink.
+void *buildAndLoad(const std::vector<std::string> &Units, double &CpuMs,
+                   std::string *Error) {
+  char Tmpl[] = "/tmp/sest-native-XXXXXX";
+  if (!::mkdtemp(Tmpl)) {
+    if (Error)
+      *Error = "cannot create temp dir under /tmp: " +
+               std::string(std::strerror(errno));
+    return nullptr;
+  }
+  struct RemoveDir {
+    std::string Path;
+    ~RemoveDir() {
+      std::error_code EC;
+      std::filesystem::remove_all(Path, EC);
+    }
+  } Dir{Tmpl};
+
+  // -fwrapv: the VM's int64 arithmetic wraps; make the C side match.
+  // -lm: the sqrt builtin — don't rely on the host process having libm.
+  // -O1: -O2 runs the suite's programs 5-15% faster but takes about
+  // 1.7x the compiler CPU, which the break-even curve pays up front.
+  // One unit compiles and links in one step; shards compile at once,
+  // then link.
+  const std::string &CC = hostCompilerPath();
+  const bool One = Units.size() == 1;
+  std::string SoPath = Dir.Path + "/lib.so";
+  std::vector<Command> Compiles;
+  std::vector<std::string> Link = {CC, "-shared", "-o", SoPath};
+  for (size_t I = 0; I < Units.size(); ++I) {
+    std::string Base = Dir.Path + "/gen" + std::to_string(I);
+    {
+      std::ofstream OutF(Base + ".c", std::ios::binary);
+      OutF << Units[I];
+      if (!OutF) {
+        if (Error)
+          *Error = "cannot write " + Base + ".c";
+        return nullptr;
+      }
+    }
+    std::vector<std::string> Argv = {CC, "-O1", "-fPIC", "-fwrapv"};
+    if (One)
+      Argv.insert(Argv.end(), {"-shared", "-o", SoPath, Base + ".c", "-lm"});
+    else
+      Argv.insert(Argv.end(), {"-c", "-o", Base + ".o", Base + ".c"});
+    Compiles.push_back({std::move(Argv), Base + ".stderr"});
+    Link.push_back(Base + ".o");
+  }
+  Link.push_back("-lm");
+  if (!runConcurrently(Compiles, CpuMs, Error) ||
+      (!One &&
+       !runConcurrently({{Link, Dir.Path + "/link.stderr"}}, CpuMs, Error)))
+    return nullptr;
+
+  void *H = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
+  if (!H && Error) {
+    const char *D = ::dlerror();
+    *Error = std::string("dlopen failed: ") + (D ? D : "unknown error");
+  }
+  return H;
 }
 
 } // namespace
@@ -164,10 +255,6 @@ bool CBackend::available(std::string *Why) const {
 NativeArtifact::~NativeArtifact() {
   if (Handle)
     ::dlclose(Handle);
-  for (const std::string &F : TempFiles)
-    ::unlink(F.c_str());
-  if (!TempDir.empty())
-    ::rmdir(TempDir.c_str());
 }
 
 std::shared_ptr<const NativeArtifact>
@@ -175,14 +262,13 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
                   const bc::BcModule &Bc, const NativeLayoutPlan &Plan,
                   std::string *Error) const {
   auto T0 = std::chrono::steady_clock::now();
-  std::string Err;
-  std::string Source = emitSource(Unit, Cfgs, Bc, Plan, &Err);
-  if (Source.empty()) {
-    if (Error)
-      *Error = Err;
+  CSourceParts Parts;
+  if (!emitParts(Unit, Cfgs, Bc, Plan, Parts, Error))
     return nullptr;
-  }
+  // The memo key is the one-unit source, whatever the shard count.
+  std::string Source = Parts.singleUnit();
   std::string Hash = hashHex(contentHash64(Source));
+  size_t SourceBytes = Source.size();
 
   static std::mutex CacheMu;
   static std::map<std::string, std::shared_ptr<const NativeArtifact>> Cache;
@@ -201,56 +287,16 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
   }
 
   obs::ScopedPhase Phase("native.compile", Hash);
-  char Tmpl[] = "/tmp/sest-native-XXXXXX";
-  if (!::mkdtemp(Tmpl)) {
-    if (Error)
-      *Error = "cannot create temp dir under /tmp: " +
-               std::string(std::strerror(errno));
+  // One compiler per core, by parallelFor's worker rule: a compile inside
+  // a pool worker, or on one core, stays one unit. The rule does not see
+  // other callers, so two compiles started outside the pool at once each
+  // start one compiler per core.
+  std::vector<std::string> Units =
+      Parts.shards(obs::parallelWorkers(0, Parts.Groups.size()));
+  double CpuMs = 0.0;
+  void *H = buildAndLoad(Units, CpuMs, Error);
+  if (!H)
     return nullptr;
-  }
-  std::string Dir = Tmpl;
-  std::string CPath = Dir + "/gen.c";
-  std::string SoPath = Dir + "/lib.so";
-  std::string DiagPath = Dir + "/cc.stderr";
-  auto Cleanup = [&] {
-    ::unlink(CPath.c_str());
-    ::unlink(SoPath.c_str());
-    ::unlink(DiagPath.c_str());
-    ::rmdir(Dir.c_str());
-  };
-  {
-    std::ofstream OutF(CPath, std::ios::binary);
-    OutF << Source;
-    if (!OutF) {
-      if (Error)
-        *Error = "cannot write " + CPath;
-      Cleanup();
-      return nullptr;
-    }
-  }
-
-  // -fwrapv: the VM's int64 arithmetic wraps; make the C side match.
-  // -lm: the sqrt builtin — don't rely on the host process having libm.
-  // -O1: measured identical run time to -O2 on the whole suite (the
-  // hot helpers carry always_inline themselves) at ~60% of the compile
-  // latency, which is what the break-even curve actually pays.
-  std::vector<std::string> Argv = {hostCompilerPath(), "-O1",  "-fPIC",
-                                   "-fwrapv",          "-shared", "-o",
-                                   SoPath,             CPath,  "-lm"};
-  if (!runCommand(Argv, DiagPath, Error)) {
-    Cleanup();
-    return nullptr;
-  }
-
-  void *H = ::dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
-  if (!H) {
-    if (Error) {
-      const char *D = ::dlerror();
-      *Error = std::string("dlopen failed: ") + (D ? D : "unknown error");
-    }
-    Cleanup();
-    return nullptr;
-  }
   void *RunSym = ::dlsym(H, "sest_native_run");
   void *FreeSym = ::dlsym(H, "sest_native_free");
   void *ShapeSym = ::dlsym(H, "sest_native_shape");
@@ -268,7 +314,6 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
     if (Error)
       *Error = "artifact rejected: ABI/shape handshake mismatch";
     ::dlclose(H);
-    Cleanup();
     return nullptr;
   }
 
@@ -276,18 +321,20 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
   A->Handle = H;
   A->RunFn = RunSym;
   A->FreeFn = FreeSym;
-  A->TempDir = Dir;
-  A->TempFiles = {CPath, SoPath, DiagPath};
   A->SourceHash = Hash;
-  A->SourceBytes = Source.size();
+  A->SourceBytes = SourceBytes;
   A->CompileMs = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - T0)
                      .count();
+  A->CompileCpuMs = CpuMs;
+  A->CompileShards = static_cast<unsigned>(Units.size());
   A->Shape = std::move(Shape);
 
   if (obs::telemetryActive()) {
     obs::counterAdd("native.compiles");
     obs::counterAdd("native.compile_ms", A->CompileMs);
+    obs::counterAdd("native.compile_cpu_ms", A->CompileCpuMs);
+    obs::counterAdd("native.compile_shards", A->CompileShards);
     obs::counterAdd("native.source_bytes",
                     static_cast<double>(A->SourceBytes));
   }

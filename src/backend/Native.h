@@ -6,7 +6,8 @@
 ///
 /// \file
 /// The host side of the native tier: probe the host C compiler, drive it
-/// over the CBackend's emitted translation unit, dlopen the shared
+/// over the CBackend's emitted source (one translation unit, or one
+/// shard per core compiled at once and linked), dlopen the shared
 /// object, and run it under the RunResult contract. Loaded artifacts are
 /// memoized process-wide by generated-source content hash (the hash
 /// covers program + layout plan, since both are compiled in), so the
@@ -46,9 +47,9 @@ struct ProfileShape {
 ProfileShape computeProfileShape(const TranslationUnit &Unit,
                                  const CfgModule &Cfgs);
 
-/// A compiled-and-loaded native program: the shared object plus its
-/// on-disk artifacts. Destruction dlcloses and removes the temp tree.
-/// Runs are thread-safe (all run state lives in the callee).
+/// A compiled-and-loaded native program. The build directory is gone
+/// once the shared object is loaded; destruction dlcloses it. Runs are
+/// thread-safe (all run state lives in the callee).
 class NativeArtifact {
 public:
   ~NativeArtifact();
@@ -62,6 +63,10 @@ public:
   size_t sourceBytes() const { return SourceBytes; }
   /// Wall time spent in emission + host cc + dlopen.
   double compileMs() const { return CompileMs; }
+  /// User + system CPU time of the host compiler and linker processes.
+  double compileCpuMs() const { return CompileCpuMs; }
+  /// Translation units compiled: 1, or the shards linked into one object.
+  unsigned compileShards() const { return CompileShards; }
 
   /// Executes one input. \p Unit / \p Cfgs must be the program the
   /// artifact was compiled from (the caller's contract; the decoder
@@ -76,11 +81,11 @@ private:
   void *Handle = nullptr;
   void *RunFn = nullptr;
   void *FreeFn = nullptr;
-  std::string TempDir;
-  std::vector<std::string> TempFiles;
   std::string SourceHash;
   size_t SourceBytes = 0;
   double CompileMs = 0.0;
+  double CompileCpuMs = 0.0;
+  unsigned CompileShards = 0;
   ProfileShape Shape;
 };
 

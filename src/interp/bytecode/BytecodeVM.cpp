@@ -18,6 +18,7 @@
 
 #include "obs/Telemetry.h"
 #include "support/Prng.h"
+#include "support/WrapInt.h"
 
 #include <algorithm>
 #include <cassert>
@@ -463,7 +464,7 @@ Value BytecodeVM::applyBinary(BinaryOp Op, Value L, Value R,
     }
     if (L.isDouble() || R.isDouble())
       return Value::makeDouble(L.asDouble() + R.asDouble());
-    return Value::makeInt(L.asInt() + R.asInt());
+    return Value::makeInt(wrapAdd(L.asInt(), R.asInt()));
   }
   case BinaryOp::Sub: {
     if (L.isPtr() && R.isPtr()) {
@@ -478,12 +479,12 @@ Value BytecodeVM::applyBinary(BinaryOp Op, Value L, Value R,
     }
     if (L.isDouble() || R.isDouble())
       return Value::makeDouble(L.asDouble() - R.asDouble());
-    return Value::makeInt(L.asInt() - R.asInt());
+    return Value::makeInt(wrapSub(L.asInt(), R.asInt()));
   }
   case BinaryOp::Mul:
     if (L.isDouble() || R.isDouble())
       return Value::makeDouble(L.asDouble() * R.asDouble());
-    return Value::makeInt(L.asInt() * R.asInt());
+    return Value::makeInt(wrapMul(L.asInt(), R.asInt()));
   case BinaryOp::Div:
     if (L.isDouble() || R.isDouble()) {
       double D = R.asDouble();
@@ -493,11 +494,11 @@ Value BytecodeVM::applyBinary(BinaryOp Op, Value L, Value R,
     }
     if (R.asInt() == 0)
       return fail("integer division by zero");
-    return Value::makeInt(L.asInt() / R.asInt());
+    return Value::makeInt(wrapDiv(L.asInt(), R.asInt()));
   case BinaryOp::Rem:
     if (R.asInt() == 0)
       return fail("integer remainder by zero");
-    return Value::makeInt(L.asInt() % R.asInt());
+    return Value::makeInt(wrapRem(L.asInt(), R.asInt()));
   case BinaryOp::Shl: {
     int64_t Sh = R.asInt();
     if (Sh < 0 || Sh > 63)

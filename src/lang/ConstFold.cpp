@@ -6,7 +6,10 @@
 
 #include "lang/ConstFold.h"
 
+#include "support/WrapInt.h"
+
 #include <cmath>
+#include <cstdint>
 
 using namespace sest;
 
@@ -58,23 +61,25 @@ static std::optional<ConstValue> foldBinary(const BinaryExpr *B) {
   case BinaryOp::Add:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() + R->asDouble());
-    return ConstValue::makeInt(L->IntVal + R->IntVal);
+    return ConstValue::makeInt(wrapAdd(L->IntVal, R->IntVal));
   case BinaryOp::Sub:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() - R->asDouble());
-    return ConstValue::makeInt(L->IntVal - R->IntVal);
+    return ConstValue::makeInt(wrapSub(L->IntVal, R->IntVal));
   case BinaryOp::Mul:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() * R->asDouble());
-    return ConstValue::makeInt(L->IntVal * R->IntVal);
+    return ConstValue::makeInt(wrapMul(L->IntVal, R->IntVal));
   case BinaryOp::Div:
     if (AnyDouble)
       return ConstValue::makeDouble(L->asDouble() / R->asDouble());
-    if (R->IntVal == 0)
+    // INT64_MIN / -1 traps in the host; left to the engines, which wrap.
+    if (R->IntVal == 0 || (R->IntVal == -1 && L->IntVal == INT64_MIN))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal / R->IntVal);
   case BinaryOp::Rem:
-    if (AnyDouble || R->IntVal == 0)
+    if (AnyDouble || R->IntVal == 0 ||
+        (R->IntVal == -1 && L->IntVal == INT64_MIN))
       return std::nullopt;
     return ConstValue::makeInt(L->IntVal % R->IntVal);
   case BinaryOp::Shl:

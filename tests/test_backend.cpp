@@ -15,14 +15,23 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/Backend.h"
+#include "backend/CBackend.h"
 #include "backend/Native.h"
 #include "interp/bytecode/BytecodeCompiler.h"
+#include "obs/Parallel.h"
 #include "opt/Layout.h"
 #include "opt/WeightSource.h"
 #include "suite/Suite.h"
 #include "suite/SuiteRunner.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+
+#include <dlfcn.h>
+#include <unistd.h>
 
 using namespace sest;
 
@@ -86,6 +95,59 @@ TEST(Backend, EmissionIsDeterministic) {
   EXPECT_EQ(First, Explicit);
 }
 
+/// Shards meet the -Wall -Werror bar the single unit is held to in CI:
+/// xlisp (whose indirect calls make rt_call_indirect and every call_N
+/// cross units) split four ways, each shard compiled on its own, then
+/// linked into one shared object that loads with every symbol resolved.
+TEST(Backend, ShardsCompileWarningFreeAndLink) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  Lowered L("xlisp");
+  ASSERT_TRUE(L.C.Ok) << L.C.Error;
+  backend::CSourceParts Parts;
+  std::string Err;
+  ASSERT_TRUE(backend::CBackend().emitParts(L.C.unit(), *L.C.Cfgs, L.Bc, {},
+                                            Parts, &Err))
+      << Err;
+  EXPECT_EQ(Parts.shards(1), std::vector<std::string>{Parts.singleUnit()});
+  std::vector<std::string> Shards = Parts.shards(4);
+  ASSERT_EQ(Shards.size(), 4u);
+  size_t Bytes = 0;
+  for (const std::string &S : Shards) {
+    EXPECT_EQ(S.compare(0, Parts.Prelude.size(), Parts.Prelude), 0);
+    Bytes += S.size() - Parts.Prelude.size();
+  }
+  EXPECT_EQ(Bytes + Parts.Prelude.size(), Parts.singleUnit().size());
+
+  char Tmpl[] = "/tmp/sest-shards-XXXXXX";
+  ASSERT_NE(::mkdtemp(Tmpl), nullptr);
+  std::string Dir = Tmpl;
+  const std::string &CC = backend::hostCompilerPath();
+  std::string Link = CC + " -shared -o " + Dir + "/lib.so";
+  for (size_t I = 0; I < Shards.size(); ++I) {
+    std::string Base = Dir + "/shard" + std::to_string(I);
+    std::ofstream(Base + ".c") << Shards[I];
+    EXPECT_EQ(std::system((CC + " -O1 -Wall -Werror -fPIC -c -o " + Base +
+                           ".o " + Base + ".c")
+                              .c_str()),
+              0)
+        << "shard " << I;
+    Link += " " + Base + ".o";
+  }
+  EXPECT_EQ(std::system((Link + " -lm").c_str()), 0);
+  void *H = ::dlopen((Dir + "/lib.so").c_str(), RTLD_NOW | RTLD_LOCAL);
+  EXPECT_NE(H, nullptr) << ::dlerror();
+  if (H) {
+    for (const char *Sym :
+         {"sest_native_run", "sest_native_free", "sest_native_shape"})
+      EXPECT_NE(::dlsym(H, Sym), nullptr) << Sym;
+    ::dlclose(H);
+  }
+  std::error_code EC;
+  std::filesystem::remove_all(Dir, EC);
+}
+
 TEST(Backend, ArtifactsAreMemoizedBySourceHash) {
   std::string Why;
   if (!backend::nativeEngineAvailable(&Why))
@@ -102,6 +164,31 @@ TEST(Backend, ArtifactsAreMemoizedBySourceHash) {
   EXPECT_FALSE(A->sourceHash().empty());
   EXPECT_GT(A->sourceBytes(), 0u);
   EXPECT_GT(A->compileMs(), 0.0);
+  EXPECT_GT(A->compileCpuMs(), 0.0);
+  // Outside the pool: one shard per core, at most one per group.
+  backend::CSourceParts Parts;
+  ASSERT_TRUE(backend::CBackend().emitParts(L.C.unit(), *L.C.Cfgs, L.Bc, {},
+                                            Parts, &Err))
+      << Err;
+  EXPECT_EQ(A->compileShards(), obs::parallelWorkers(0, Parts.Groups.size()));
+}
+
+/// A compile inside a parallelFor worker stays one unit: the pool
+/// already runs a task per core, so shards would only oversubscribe it.
+TEST(Backend, CompileInsidePoolWorkerIsOneUnit) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  const std::vector<std::string> Names = {"sc", "water"};
+  std::vector<unsigned> Units(Names.size(), 0);
+  obs::parallelFor(2, Names.size(), [&](size_t I) {
+    Lowered L(Names[I]);
+    std::string Err;
+    auto A =
+        backend::cBackend().compile(L.C.unit(), *L.C.Cfgs, L.Bc, {}, &Err);
+    Units[I] = A ? A->compileShards() : 0;
+  });
+  EXPECT_EQ(Units, std::vector<unsigned>(Names.size(), 1u));
 }
 
 TEST(Backend, ArtifactRunMatchesAstOracle) {

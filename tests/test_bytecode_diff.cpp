@@ -24,6 +24,8 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
+
 using namespace sest;
 
 namespace {
@@ -189,25 +191,27 @@ TEST(BytecodeDiff, SelectiveOptimizationCyclesMatch) {
 // Skipped cleanly (not failed) on hosts without a C compiler.
 //===----------------------------------------------------------------------===//
 
-/// Asserts one RunResult triple (ast / bytecode / native) is identical
-/// in every observable: status, limit kind, diagnostics, output, exit
-/// code, step count, high-water marks, and the full profile.
+/// Asserts another engine's RunResult \p R is identical to the AST
+/// walker's \p A in every observable: status, limit kind, diagnostics,
+/// output, exit code, step count, high-water marks, and the full profile.
+void expectSameAsAst(const RunResult &A, const RunResult &R,
+                     const std::string &W) {
+  EXPECT_EQ(A.Ok, R.Ok) << W;
+  EXPECT_EQ(A.LimitHit, R.LimitHit) << W;
+  EXPECT_EQ(A.Error, R.Error) << W;
+  EXPECT_EQ(A.ExitCode, R.ExitCode) << W;
+  EXPECT_EQ(A.Output, R.Output) << W;
+  EXPECT_EQ(A.StepsExecuted, R.StepsExecuted) << W;
+  EXPECT_EQ(A.HeapCellsHighWater, R.HeapCellsHighWater) << W;
+  EXPECT_EQ(A.CallDepthHighWater, R.CallDepthHighWater) << W;
+  expectProfilesIdentical(A.TheProfile, R.TheProfile, W);
+}
+
+/// Asserts one RunResult triple (ast / bytecode / native) is identical.
 void expectThreeWayIdentical(const RunResult &A, const RunResult &B,
                              const RunResult &N, const std::string &What) {
-  for (const auto &[R, Tier] :
-       {std::pair<const RunResult &, const char *>{B, "bytecode"},
-        std::pair<const RunResult &, const char *>{N, "native"}}) {
-    std::string W = What + " [" + Tier + "]";
-    EXPECT_EQ(A.Ok, R.Ok) << W;
-    EXPECT_EQ(A.LimitHit, R.LimitHit) << W;
-    EXPECT_EQ(A.Error, R.Error) << W;
-    EXPECT_EQ(A.ExitCode, R.ExitCode) << W;
-    EXPECT_EQ(A.Output, R.Output) << W;
-    EXPECT_EQ(A.StepsExecuted, R.StepsExecuted) << W;
-    EXPECT_EQ(A.HeapCellsHighWater, R.HeapCellsHighWater) << W;
-    EXPECT_EQ(A.CallDepthHighWater, R.CallDepthHighWater) << W;
-    expectProfilesIdentical(A.TheProfile, R.TheProfile, W);
-  }
+  expectSameAsAst(A, B, What + " [bytecode]");
+  expectSameAsAst(A, N, What + " [native]");
 }
 
 /// Runs one input under all three engines with the same limits and
@@ -282,6 +286,195 @@ INSTANTIATE_TEST_SUITE_P(AllPrograms, NativeDiffTest,
                            return Names;
                          }()),
                          [](const auto &Info) { return Info.param; });
+
+//===----------------------------------------------------------------------===//
+// Binary operators: the native tier's inline fast paths against the
+// interpreters' generic path, on every operand-kind pairing.
+//===----------------------------------------------------------------------===//
+
+/// Every engine that can run here, on one input, against the AST walker;
+/// returns the walker's result. Native joins when a host compiler exists.
+RunResult runAllEngines(const CompiledSuiteProgram &C,
+                        const ProgramInput &Input,
+                        const InterpOptions &Limits, const std::string &What) {
+  InterpOptions Opts = Limits;
+  Opts.Engine = InterpEngine::Ast;
+  RunResult A = runProgram(C.unit(), *C.Cfgs, Input, Opts);
+  Opts.Engine = InterpEngine::Bytecode;
+  expectSameAsAst(A, runProgram(C.unit(), *C.Cfgs, Input, Opts),
+                  What + " [bytecode]");
+  if (backend::nativeEngineAvailable()) {
+    Opts.Engine = InterpEngine::Native;
+    expectSameAsAst(A, runProgram(C.unit(), *C.Cfgs, Input, Opts),
+                    What + " [native]");
+  }
+  return A;
+}
+
+/// Input 0 runs the whole matrix: every binary operator Sema accepts on
+/// int/int, double/double (with +-inf, -0.0 and a NaN made as inf - inf),
+/// int/double, pointer/int, pointer/pointer in one object and across two
+/// (a global and a stack array), and function pointer vs null, including
+/// INT64_MIN / -1 and the shift counts 0 and 63. Inputs 1-9 each end the
+/// run on one failing operand pair instead: a zero divisor, a shift count
+/// of -1 or 64, or a subtraction of pointers into different objects.
+const char *BinOpMatrixSource = R"(
+int iv[10];
+double dv[8];
+int arr[8];
+int zero;
+int neg1;
+
+int f(int x) { return x + 1; }
+
+void pi(int v) { print_int(v); print_char(' '); }
+void pd(double v) { print_double(v); print_char(' '); }
+
+void ints(int x, int y) {
+  pi(x + y); pi(x - y); pi(x * y);
+  if (y != 0) { pi(x / y); pi(x % y); }
+  if (y >= 0 && y <= 63) { pi(x << y); pi(x >> y); }
+  pi(x & y); pi(x | y); pi(x ^ y);
+  pi(x < y); pi(x > y); pi(x <= y); pi(x >= y); pi(x == y); pi(x != y);
+  print_char('\n');
+}
+
+void dbls(double x, double y) {
+  pd(x + y); pd(x - y); pd(x * y);
+  if (y != 0.0) pd(x / y);
+  pi(x < y); pi(x > y); pi(x <= y); pi(x >= y); pi(x == y); pi(x != y);
+  print_char('\n');
+}
+
+void mixed(int x, double y) {
+  pd(x + y); pd(y - x); pd(x * y);
+  if (y != 0.0) pd(x / y);
+  if (x != 0) pd(y / x);
+  pi(x < y); pi(y > x); pi(x <= y); pi(y >= x); pi(x == y); pi(y != x);
+  print_char('\n');
+}
+
+void ptrs() {
+  int *p; int *q; int *r; int *n; int k; int loc[4];
+  char word[6] = "pairs";
+  int (*fp)(int); int (*np)(int);
+  p = arr + 2; q = &arr[5]; r = loc + 1; n = NULL;
+  pi(word[4] - word[0]); pi(&word[4] - word); pi(word + 1 < &word[3]);
+  for (k = -1; k <= 2; k++) {
+    pi((p + k) - arr); pi((k + p) - arr); pi((p - k) - arr);
+    pi(p < k); pi(p > k); pi(p <= k); pi(p >= k); pi(p == k); pi(p != k);
+  }
+  pi(q - p); pi(p - q);
+  pi(p < q); pi(p > q); pi(p <= q); pi(p >= q); pi(p == q); pi(p != q);
+  pi(p < r); pi(p > r); pi(p <= r); pi(p >= r); pi(p == r); pi(p != r);
+  pi(n == 0); pi(n != 0); pi(n == p); pi(p != n); pi(n < p); pi(n >= p);
+  fp = f; np = 0;
+  pi(fp == 0); pi(fp != 0); pi(np == 0); pi(np != 0);
+  pi(fp == f); pi(np == fp); pi(fp != np); pi(fp(1));
+  print_char('\n');
+}
+
+int main() {
+  int sel; int i; int j; double inf; int loc[2];
+  sel = read_int();
+  zero = 0; neg1 = -1;
+  iv[0] = 0; iv[1] = 1; iv[2] = -1; iv[3] = 7; iv[4] = -7; iv[5] = 63;
+  iv[6] = 64; iv[7] = -9223372036854775807 - 1;
+  iv[8] = 9223372036854775807; iv[9] = 3;
+  inf = 1e308 * 10.0;
+  dv[0] = 0.0; dv[1] = 1.5; dv[2] = -2.25; dv[3] = inf; dv[4] = -inf;
+  dv[5] = inf - inf; dv[6] = -0.0; dv[7] = 3.0;
+  if (sel == 1) print_int(iv[3] / zero);
+  if (sel == 2) print_int(iv[3] % zero);
+  if (sel == 3) print_double(dv[1] / dv[0]);
+  if (sel == 4) print_int(iv[3] << neg1);
+  if (sel == 5) print_int(iv[3] >> iv[6]);
+  if (sel == 6) print_int(iv[3] << iv[6]);
+  if (sel == 7) print_int(iv[3] >> neg1);
+  if (sel == 8) print_int(loc - arr);
+  if (sel == 9) print_double(iv[3] / dv[6]);
+  for (i = 0; i < 10; i++)
+    for (j = 0; j < 10; j++)
+      ints(iv[i], iv[j]);
+  for (i = 0; i < 8; i++)
+    for (j = 0; j < 8; j++)
+      dbls(dv[i], dv[j]);
+  for (i = 0; i < 10; i++)
+    for (j = 0; j < 8; j++)
+      mixed(iv[i], dv[j]);
+  ptrs();
+  return 0;
+}
+)";
+
+SuiteProgram miniProgram(const std::string &Name, const char *Source) {
+  SuiteProgram P;
+  P.Name = Name;
+  P.Source = Source;
+  return P;
+}
+
+TEST(BinOpDiff, MatrixMatchesAcrossEngines) {
+  SuiteProgram P = miniProgram("binops", BinOpMatrixSource);
+  CompiledSuiteProgram C = compileProgramOnly(P);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  RunResult A = runAllEngines(C, {"matrix", "0", 1}, {}, "matrix");
+  ASSERT_TRUE(A.Ok) << A.Error;
+  // Wrapped, not trapped: INT64_MIN / -1 and INT64_MIN % -1.
+  EXPECT_NE(A.Output.find("-9223372036854775808 0 "), std::string::npos);
+  // NaN vs NaN: < > == are 0, <= >= != are 1 (three-way compare).
+  EXPECT_TRUE(std::regex_search(
+      A.Output, std::regex("-?nan -?nan -?nan -?nan 0 0 1 1 0 1 \n")))
+      << A.Output;
+}
+
+TEST(BinOpDiff, StepLimitMidMatrixMatchesAcrossEngines) {
+  SuiteProgram P = miniProgram("binops", BinOpMatrixSource);
+  CompiledSuiteProgram C = compileProgramOnly(P);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  ProgramInput Input{"matrix", "0", 1};
+  uint64_t Steps = runProgram(C.unit(), *C.Cfgs, Input, {}).StepsExecuted;
+  for (uint64_t Max : {Steps / 3, Steps / 2, Steps - 1}) {
+    InterpOptions Limits;
+    Limits.MaxSteps = Max;
+    RunResult A = runAllEngines(C, Input, Limits,
+                                "MaxSteps=" + std::to_string(Max));
+    EXPECT_EQ(A.LimitHit, RunLimit::Steps);
+  }
+}
+
+TEST(BinOpDiff, FailingOperandsMatchAcrossEngines) {
+  SuiteProgram P = miniProgram("binops", BinOpMatrixSource);
+  CompiledSuiteProgram C = compileProgramOnly(P);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  for (int Sel = 1; Sel <= 9; ++Sel) {
+    RunResult A = runAllEngines(C, {"fail", std::to_string(Sel), 1}, {},
+                                "sel " + std::to_string(Sel));
+    EXPECT_FALSE(A.Ok) << "sel " << Sel;
+  }
+}
+
+/// The constant-folded spelling of INT64_MIN / -1 (which branch
+/// prediction and the engines must not trap on) and the runtime one.
+TEST(BinOpDiff, Int64MinByMinusOneWrapsInEveryEngine) {
+  SuiteProgram P = miniProgram("int64min", R"(
+int main() {
+  int m; int d;
+  m = -9223372036854775807 - 1; d = -1;
+  print_int(m / d); print_char(' '); print_int(m % d); print_char(' ');
+  print_int((-9223372036854775807 - 1) / -1); print_char(' ');
+  print_int((-9223372036854775807 - 1) % -1);
+  if (((-9223372036854775807 - 1) / -1) < 0) return 1;
+  return 0;
+}
+)");
+  CompiledSuiteProgram C = compileProgramOnly(P);
+  ASSERT_TRUE(C.Ok) << C.Error;
+  RunResult A = runAllEngines(C, {"none", "", 1}, {}, "int64min");
+  EXPECT_TRUE(A.Ok) << A.Error;
+  EXPECT_EQ(A.Output, "-9223372036854775808 0 -9223372036854775808 0");
+  EXPECT_EQ(A.ExitCode, 1);
+}
 
 /// The parallel suite runner must be observationally identical to a
 /// serial run: same profiles, stats, and merged telemetry counters.

@@ -427,6 +427,29 @@ TEST(Service, MalformedRequestsFailCleanly) {
             std::string::npos);
 }
 
+/// INT64_MIN / -1 and INT64_MIN % -1 trap in the host's integer divide.
+/// Constant folding (which branch prediction runs) declines the pair and
+/// every engine wraps them like + - *, so the service answers both ops
+/// in band and is still up for the next request.
+TEST(Service, Int64MinByMinusOneIsAnsweredInBand) {
+  Service S;
+  for (const auto &[Op, Exit] : {std::pair<const char *, int>{"/", 1},
+                                 std::pair<const char *, int>{"%", 0}}) {
+    std::string Src =
+        std::string("int main() { if (((-9223372036854775807 - 1) ") + Op +
+        " -1) < 0) return 1; return 0; }";
+    std::string Est = S.handle(estimateRequest(Src.c_str()));
+    EXPECT_NE(Est.find("\"ok\":true"), std::string::npos) << Op << Est;
+    std::string Rep = S.handle(reportRequest(Src.c_str(), ""));
+    EXPECT_NE(Rep.find("\"ok\":true"), std::string::npos) << Op << Rep;
+    EXPECT_NE(Rep.find("\"exit_code\":" + std::to_string(Exit)),
+              std::string::npos)
+        << Op << Rep;
+  }
+  EXPECT_NE(S.handle("{\"op\":\"health\"}").find("sest-service-health/1"),
+            std::string::npos);
+}
+
 TEST(Service, ProgramHashIsSourceIdentity) {
   Service S;
   std::string RespA = S.handle(estimateRequest(SourceA));
