@@ -88,7 +88,7 @@ int main(int argc, char **argv) {
     print("\nNo call site is inlinable under the default budget.\n");
     return 0;
   }
-  RunResult Base = runProgram(P.unit(), *P.Cfgs, Spec->Inputs.back(), {});
+  RunResult Base = P.profilingRun(P.Profiles.size() - 1);
   opt::InlineMap Map = opt::applyInlining(*P.Ctx, *P.Cfgs, Plan);
   RunResult Inl = runProgram(P.unit(), *P.Cfgs, Spec->Inputs.back(), {});
   opt::InlineVerifyResult V = opt::compareInlinedRun(Base, Inl, Map);

@@ -13,7 +13,7 @@
 using namespace sest;
 using namespace sest::obs;
 
-thread_local EventLog *sest::obs::detail::ActiveLog = nullptr;
+thread_local constinit EventLog *sest::obs::detail::ActiveLog = nullptr;
 
 EventLog::~EventLog() {
   if (Installed)

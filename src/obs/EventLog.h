@@ -46,7 +46,8 @@ class EventLog;
 
 namespace detail {
 /// The log installed on this thread; null when decision logging is off.
-extern thread_local EventLog *ActiveLog;
+/// constinit for the same reason as detail::Active (Telemetry.h).
+extern thread_local constinit EventLog *ActiveLog;
 } // namespace detail
 
 /// One key/value attribute of an event (string- or number-valued).

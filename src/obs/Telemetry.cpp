@@ -17,7 +17,7 @@
 using namespace sest;
 using namespace sest::obs;
 
-thread_local Telemetry *sest::obs::detail::Active = nullptr;
+thread_local constinit Telemetry *sest::obs::detail::Active = nullptr;
 
 //===----------------------------------------------------------------------===//
 // HistogramStats percentile buckets

@@ -54,7 +54,10 @@ class Telemetry;
 
 namespace detail {
 /// The context installed on this thread; null when telemetry is off.
-extern thread_local Telemetry *Active;
+/// constinit tells other translation units that no dynamic initializer
+/// runs, so they read the slot directly instead of calling the TLS
+/// wrapper function (which UBSan reports as a null load under gcc).
+extern thread_local constinit Telemetry *Active;
 } // namespace detail
 
 /// Aggregated statistics of one histogram.

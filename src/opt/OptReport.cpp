@@ -160,10 +160,9 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   OptProgramReport R;
   R.Name = CSP.Spec->Name;
   R.ProgramHash = hashHex(contentHash64(CSP.Spec->Source));
-  if (!CSP.Ok || CSP.Profiles.size() < 2) {
-    R.Error = CSP.Ok ? "needs at least two inputs" : CSP.Error;
+  R.Error = baselineError(CSP);
+  if (!R.Error.empty())
     return R;
-  }
   const size_t EvalIdx = CSP.Profiles.size() - 1;
   R.EvalInput = CSP.Spec->Inputs[EvalIdx].Name;
   const TranslationUnit &Unit = CSP.unit();
@@ -180,21 +179,11 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   const WeightSource WOracle = weightsFromProfile(Unit, Held, "oracle");
   const WeightSource *Sources[3] = {&WStatic, &WProfile, &WOracle};
 
-  // Identity-layout baseline runs of every input (exact re-runs of the
-  // profiling pass, now also carrying LayoutCostCounters).
+  // The identity-layout baselines are the profiling runs themselves.
   InterpOptions RunOpts;
   RunOpts.Engine = Options.Engine;
-  std::vector<RunResult> BaseRuns(CSP.Profiles.size());
-  for (size_t I = 0; I < BaseRuns.size(); ++I) {
-    BaseRuns[I] = runProgram(Unit, *CSP.Cfgs, CSP.Spec->Inputs[I],
-                             RunOpts);
-    if (!BaseRuns[I].Ok) {
-      R.Error = "baseline run failed on input " +
-                CSP.Spec->Inputs[I].Name + ": " + BaseRuns[I].Error;
-      return R;
-    }
-  }
-  const LayoutCostCounters &BaseCost = BaseRuns[EvalIdx].LayoutCost;
+  const SuiteRunStats &EvalBase = CSP.RunStats[EvalIdx];
+  const LayoutCostCounters &BaseCost = EvalBase.LayoutCost;
   R.IdentityCost = BaseCost.cost();
 
   if (DoLayout) {
@@ -225,7 +214,7 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         const RunResult Real = runProgram(
             Unit, *CSP.Cfgs, CSP.Spec->Inputs[EvalIdx], LayoutOpts);
         R.VmCrossCheckOk = Real.Ok && Real.LayoutCost == C &&
-                           Real.Output == BaseRuns[EvalIdx].Output;
+                           Real.Output == EvalBase.Output;
       }
     }
     R.LayoutPairOverlap =
@@ -274,6 +263,11 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
 
   if (DoInline) {
     std::set<uint32_t> SiteSets[3];
+    // Each source's inlined program, run on every input. applySite
+    // declines before it mutates anything, so the applied-site list (ids
+    // and order) determines the program: a source whose list equals an
+    // earlier one's reuses that source's runs.
+    std::vector<RunResult> Runs[3];
     for (int S = 0; S < 3; ++S) {
       InlineSourceResult IR;
       IR.Source = Sources[S]->Origin;
@@ -296,11 +290,20 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         IR.Sites.push_back(D.CallSiteId);
       SiteSets[S].insert(IR.Sites.begin(), IR.Sites.end());
 
-      for (size_t I = 0; I < CSP.Spec->Inputs.size(); ++I) {
-        const RunResult Inl = runProgram(Fresh.unit(), *Fresh.Cfgs,
-                                         CSP.Spec->Inputs[I], RunOpts);
+      const std::vector<RunResult> *Inlined = nullptr;
+      for (int T = 0; T < S && !Inlined; ++T)
+        if (!Runs[T].empty() && R.Inline[T].Sites == IR.Sites)
+          Inlined = &Runs[T];
+      if (!Inlined) {
+        for (const ProgramInput &In : CSP.Spec->Inputs)
+          Runs[S].push_back(
+              runProgram(Fresh.unit(), *Fresh.Cfgs, In, RunOpts));
+        Inlined = &Runs[S];
+      }
+      for (size_t I = 0; I < Inlined->size(); ++I) {
+        const RunResult &Inl = (*Inlined)[I];
         const InlineVerifyResult V =
-            compareInlinedRun(BaseRuns[I], Inl, Map);
+            compareInlinedRun(CSP.profilingRun(I), Inl, Map);
         if (!V.Match) {
           IR.Verified = false;
           if (IR.VerifyDetail.empty())

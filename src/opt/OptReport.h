@@ -169,9 +169,12 @@ struct OptSuiteReport {
   double MeanFuncOrderOverlap = 0.0;
 };
 
-/// Scores the passes over compiled-and-profiled programs (skipping
-/// failed ones). Parallel across programs; byte-identical results for
-/// every Jobs value and both engines.
+/// Scores the passes over compiled-and-profiled programs. The profiling
+/// runs are the identity baselines, so a program that failed, has fewer
+/// than two inputs, or was profiled with non-default options is reported
+/// Ok == false (baselineError). Parallel across programs; byte-identical
+/// results for every Jobs value and every engine, whichever engine
+/// profiled the programs.
 OptSuiteReport
 computeOptReport(const std::vector<CompiledSuiteProgram> &Programs,
                  const OptReportOptions &Options = {});

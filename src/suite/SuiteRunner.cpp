@@ -26,6 +26,15 @@ double msSince(Clock::time_point Start) {
       .count();
 }
 
+/// Whether \p O equals InterpOptions{} in everything but the engine.
+bool defaultApartFromEngine(const InterpOptions &O) {
+  const InterpOptions D;
+  return O.MaxSteps == D.MaxSteps && O.MaxCallDepth == D.MaxCallDepth &&
+         O.MaxHostStackBytes == D.MaxHostStackBytes &&
+         O.MaxHeapCells == D.MaxHeapCells && O.OptimizedFunctions.empty() &&
+         O.OptimizedCostFactor == D.OptimizedCostFactor && !O.Layout;
+}
+
 /// Lowers a successfully compiled program to bytecode. The module is
 /// read-only at run time, so every input (possibly on several threads)
 /// executes against this one copy.
@@ -76,6 +85,8 @@ bool absorbRun(CompiledSuiteProgram &Out, const ProgramInput &Input,
   Stats.HeapCellsHighWater = O.R.HeapCellsHighWater;
   Stats.CallDepthHighWater = O.R.CallDepthHighWater;
   Stats.ExitCode = O.R.ExitCode;
+  Stats.Output = std::move(O.R.Output);
+  Stats.LayoutCost = O.R.LayoutCost;
   Out.RunStats.push_back(std::move(Stats));
   if (!O.R.Ok) {
     Out.Ok = false;
@@ -89,6 +100,32 @@ bool absorbRun(CompiledSuiteProgram &Out, const ProgramInput &Input,
 }
 
 } // namespace
+
+RunResult CompiledSuiteProgram::profilingRun(size_t I) const {
+  const SuiteRunStats &S = RunStats[I];
+  RunResult R;
+  R.Ok = true;
+  R.ExitCode = S.ExitCode;
+  R.Output = S.Output;
+  R.TheProfile = Profiles[I];
+  R.StepsExecuted = S.Steps;
+  R.HeapCellsHighWater = S.HeapCellsHighWater;
+  R.CallDepthHighWater = S.CallDepthHighWater;
+  R.LayoutCost = S.LayoutCost;
+  return R;
+}
+
+std::string sest::baselineError(const CompiledSuiteProgram &P) {
+  if (!P.Ok)
+    return P.Error;
+  if (P.Profiles.size() < 2)
+    return "needs at least two inputs";
+  if (!P.DefaultRunOptions)
+    return "profiled with non-default run options; the profiling runs "
+           "are the identity baselines, so only the engine may differ "
+           "from the defaults";
+  return {};
+}
 
 CompiledSuiteProgram sest::compileProgramOnly(const SuiteProgram &Program) {
   obs::ScopedPhase Phase("suite.compile", Program.Name);
@@ -121,6 +158,7 @@ sest::compileAndProfileProgram(const SuiteProgram &Program,
                                const InterpOptions &Options) {
   obs::ScopedPhase Phase("suite.program", Program.Name);
   CompiledSuiteProgram Out = compileProgramOnly(Program);
+  Out.DefaultRunOptions = defaultApartFromEngine(Options);
   prepareEngine(Out, Options);
   if (!Out.Ok)
     return Out;
@@ -141,6 +179,7 @@ sest::compileAndProfileSuite(const InterpOptions &Options, unsigned Jobs) {
   for (const SuiteProgram &P : benchmarkSuite()) {
     obs::ScopedPhase ProgPhase("suite.program", P.Name);
     Out.push_back(compileProgramOnly(P));
+    Out.back().DefaultRunOptions = defaultApartFromEngine(Options);
     prepareEngine(Out.back(), Options);
   }
 

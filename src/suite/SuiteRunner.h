@@ -40,6 +40,9 @@ struct SuiteRunStats {
   int64_t HeapCellsHighWater = 0;  ///< Peak live heap cells.
   unsigned CallDepthHighWater = 0; ///< Peak mini-C call depth.
   int64_t ExitCode = 0;
+  std::string Output;              ///< Everything the run printed.
+  LayoutCostCounters LayoutCost;   ///< Under the run's layout (identity
+                                   ///< unless InterpOptions::Layout).
 };
 
 /// A suite program compiled and profiled on all its inputs.
@@ -63,12 +66,27 @@ struct CompiledSuiteProgram {
   std::vector<SuiteRunStats> RunStats;
   /// Wall time of compile + CFG + call-graph construction.
   double CompileMs = 0.0;
+  /// The inputs ran with InterpOptions{} apart from the engine: no
+  /// layout, no cost-scaled functions, default limits. Only then are the
+  /// profiling runs the identity baselines of the opt report and the
+  /// tuner (see baselineError).
+  bool DefaultRunOptions = false;
 
   bool Ok = false;
   std::string Error;
 
   const TranslationUnit &unit() const { return Ctx->unit(); }
+
+  /// Profiling run \p I (a successful one, so I < Profiles.size()) as a
+  /// RunResult: the identity baseline the optimizer reports verify
+  /// against instead of running the input again.
+  RunResult profilingRun(size_t I) const;
 };
+
+/// Why the opt report and the tuner cannot take \p P's profiling runs as
+/// their identity baselines: the program failed, has fewer than two
+/// inputs, or was profiled with non-default options. Empty when they can.
+std::string baselineError(const CompiledSuiteProgram &P);
 
 /// Compiles \p Program and runs every input. On any compile or runtime
 /// error, \c Ok is false and \c Error says what failed.

@@ -307,10 +307,9 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   TuneProgramReport R;
   R.Name = CSP.Spec->Name;
   R.ProgramHash = hashHex(contentHash64(CSP.Spec->Source));
-  if (!CSP.Ok || CSP.Profiles.size() < 2) {
-    R.Error = CSP.Ok ? "needs at least two inputs" : CSP.Error;
+  R.Error = baselineError(CSP);
+  if (!R.Error.empty())
     return R;
-  }
   const size_t EvalIdx = CSP.Profiles.size() - 1;
   R.EvalInput = CSP.Spec->Inputs[EvalIdx].Name;
   const TranslationUnit &Unit = CSP.unit();
@@ -318,22 +317,12 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   InterpOptions RunOpts;
   RunOpts.Engine = Options.Engine;
 
-  // Identity baseline runs of every input (the verification references,
-  // and the eval-input identity cost).
-  std::vector<RunResult> BaseRuns(CSP.Spec->Inputs.size());
-  for (size_t I = 0; I < BaseRuns.size(); ++I) {
-    BaseRuns[I] =
-        runProgram(Unit, *CSP.Cfgs, CSP.Spec->Inputs[I], RunOpts);
-    if (!BaseRuns[I].Ok) {
-      R.Error = "baseline run failed on input " +
-                CSP.Spec->Inputs[I].Name + ": " + BaseRuns[I].Error;
-      return R;
-    }
-  }
+  // The profiling runs are the identity baselines: the verification
+  // references, and the eval-input identity cost.
   const WeightSource WEvalIdentity =
       weightsFromProfile(Unit, CSP.Profiles[EvalIdx], "eval");
   R.IdentityEvalCost =
-      BaseRuns[EvalIdx].LayoutCost.cost() +
+      CSP.RunStats[EvalIdx].LayoutCost.cost() +
       opt::functionOrderCost(Unit, *CSP.CG, WEvalIdentity,
                              opt::identityFunctionOrder(Unit));
 
@@ -398,16 +387,17 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
         OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + RR.Error;
         break;
       }
+      const RunResult Base = CSP.profilingRun(I);
       std::string Detail;
       if (PR.HasInline) {
         const opt::InlineVerifyResult V =
-            opt::compareInlinedRun(BaseRuns[I], RR, PR.Inlined);
+            opt::compareInlinedRun(Base, RR, PR.Inlined);
         if (!V.Match) {
           OR.Verified = false;
           OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + V.Detail;
           break;
         }
-      } else if (!sameBehavior(BaseRuns[I], RR, Detail)) {
+      } else if (!sameBehavior(Base, RR, Detail)) {
         OR.Verified = false;
         OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + Detail;
         break;
@@ -637,22 +627,9 @@ std::string sest::tune::tuneSource(std::string_view Source,
   SP.Inputs.push_back({"train", std::string(Input), 1});
   SP.Inputs.push_back({"eval", std::string(Input), 2});
 
+  InterpOptions RunOpts;
+  RunOpts.Engine = Options.Engine;
   std::vector<CompiledSuiteProgram> Programs;
-  Programs.push_back(compileProgramOnly(SP));
-  CompiledSuiteProgram &CSP = Programs.back();
-  if (CSP.Ok) {
-    InterpOptions RunOpts;
-    RunOpts.Engine = Options.Engine;
-    for (const ProgramInput &In : SP.Inputs) {
-      const RunResult RR = runProgram(CSP.unit(), *CSP.Cfgs, In, RunOpts);
-      if (!RR.Ok) {
-        CSP.Ok = false;
-        CSP.Error = "run failed on input " + In.Name + ": " + RR.Error;
-        break;
-      }
-      CSP.Profiles.push_back(RR.TheProfile);
-    }
-  }
-
+  Programs.push_back(compileAndProfileProgram(SP, RunOpts));
   return tuneReportJson(computeTuneReport(Programs, Options), Options);
 }

@@ -151,7 +151,9 @@ struct TuneSuiteReport {
 uint32_t tuneSearchSpaceSize();
 
 /// Runs the search for every oracle over every compiled-and-profiled
-/// program (skipping failed ones; programs need at least two inputs).
+/// program. The profiling runs are the identity baselines the winners
+/// verify against, so programs need at least two inputs profiled with
+/// default options (baselineError); others are reported Ok == false.
 /// Parallel across programs; byte-identical results for every Jobs value.
 TuneSuiteReport
 computeTuneReport(const std::vector<CompiledSuiteProgram> &Programs,

@@ -20,6 +20,7 @@
 #include "callgraph/CallGraph.h"
 #include "estimators/Pipeline.h"
 #include "obs/EventLog.h"
+#include "obs/Telemetry.h"
 #include "opt/OptReport.h"
 #include "suite/SuiteRunner.h"
 
@@ -527,13 +528,83 @@ TEST_F(OptReportTest, ByteStableAcrossJobsAndEngines) {
   opt::OptSuiteReport R1 = opt::computeOptReport(Bc, Serial);
   opt::OptSuiteReport R4 = opt::computeOptReport(Bc, Wide);
   opt::OptSuiteReport RA = opt::computeOptReport(Ast, AstOpts);
+  // AST-walker profiles are the baselines of a bytecode report.
+  opt::OptSuiteReport RAB = opt::computeOptReport(Ast, Serial);
 
   const std::string J1 = opt::optReportJson(R1, Serial);
   EXPECT_EQ(J1, opt::optReportJson(R4, Serial));
   // Engines must agree on every measured number; serialize both under
   // the same options so the self-describing engine label matches too.
   EXPECT_EQ(J1, opt::optReportJson(RA, Serial));
+  EXPECT_EQ(J1, opt::optReportJson(RAB, Serial));
   EXPECT_NE(J1.find("\"schema\":\"sest-opt-report/1\""), std::string::npos);
+}
+
+/// Scores one suite program and returns the interpreter runs the report
+/// itself made (its profiling runs happen before the count starts).
+uint64_t optReportRuns(const char *Name, opt::OptProgramReport &Out) {
+  std::vector<CompiledSuiteProgram> Programs;
+  Programs.push_back(compileAndProfileProgram(*findSuiteProgram(Name)));
+  obs::Telemetry Tele;
+  Tele.install();
+  opt::OptSuiteReport Rep = opt::computeOptReport(Programs);
+  Tele.uninstall();
+  Out = Rep.Programs.at(0);
+  const auto It = Tele.counters().find("interp.runs");
+  return It == Tele.counters().end() ? 0
+                                     : static_cast<uint64_t>(It->second);
+}
+
+TEST(OptReportRuns, BaselinesAreTheProfilingRuns) {
+  // Every source applies [11,12,13,14,15] to bison: one inlined run per
+  // input serves all three, plus the static-layout cross-check run.
+  opt::OptProgramReport P;
+  EXPECT_EQ(optReportRuns("bison", P), 6u);
+  ASSERT_TRUE(P.Ok) << P.Error;
+  ASSERT_EQ(P.Inline.size(), 3u);
+  for (const opt::InlineSourceResult &I : P.Inline) {
+    EXPECT_EQ(I.Sites, (std::vector<uint32_t>{11, 12, 13, 14, 15}));
+    EXPECT_TRUE(I.Verified) << I.Source << ": " << I.VerifyDetail;
+    EXPECT_GT(I.CallsRemoved, 0u) << I.Source;
+  }
+  EXPECT_TRUE(P.VmCrossCheckOk);
+}
+
+TEST(OptReportRuns, InlineOrderSeparatesVariants) {
+  // espresso's static plan [1,4,11,2] and its profile plan [4,1,11,2]
+  // inline the same sites in another order, which builds another
+  // program: two sets of inlined runs, plus the cross-check.
+  opt::OptProgramReport P;
+  EXPECT_EQ(optReportRuns("espresso", P), 11u);
+  ASSERT_TRUE(P.Ok) << P.Error;
+  ASSERT_EQ(P.Inline.size(), 3u);
+  EXPECT_EQ(P.Inline[0].Sites, (std::vector<uint32_t>{1, 4, 11, 2}));
+  EXPECT_EQ(P.Inline[1].Sites, (std::vector<uint32_t>{4, 1, 11, 2}));
+  EXPECT_EQ(P.Inline[2].Sites, P.Inline[1].Sites);
+  for (const opt::InlineSourceResult &I : P.Inline)
+    EXPECT_TRUE(I.Verified) << I.Source << ": " << I.VerifyDetail;
+}
+
+TEST(OptReportRuns, NonDefaultProfilingOptionsAreNotScored) {
+  // The reports take the profiling runs as identity baselines, so a
+  // program profiled under a layout (even an identity one) is refused.
+  const ProgramBlockOrder Identity;
+  InterpOptions O;
+  O.Layout = &Identity;
+  std::vector<CompiledSuiteProgram> Programs;
+  Programs.push_back(
+      compileAndProfileProgram(*findSuiteProgram("cholesky"), O));
+  ASSERT_TRUE(Programs[0].Ok) << Programs[0].Error;
+  EXPECT_FALSE(Programs[0].DefaultRunOptions);
+
+  opt::OptSuiteReport Rep = opt::computeOptReport(Programs);
+  ASSERT_EQ(Rep.Programs.size(), 1u);
+  EXPECT_FALSE(Rep.Programs[0].Ok);
+  EXPECT_NE(Rep.Programs[0].Error.find("non-default run options"),
+            std::string::npos)
+      << Rep.Programs[0].Error;
+  EXPECT_NE(opt::optReportJson(Rep).find("\"ok\":false"),
+            std::string::npos);
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,6 +18,7 @@
 #include "TestUtil.h"
 
 #include "callgraph/CallGraph.h"
+#include "obs/Telemetry.h"
 #include "opt/FuncOrder.h"
 #include "opt/Inline.h"
 #include "opt/Layout.h"
@@ -414,6 +415,60 @@ TEST(Tune, ExhaustiveSearchWhenBudgetCoversGrid) {
   // inline dims collapse), but every one must have been evaluated.
   EXPECT_GT(S.Evaluations, 0u);
   EXPECT_LE(S.Evaluations, static_cast<uint64_t>(O.Budget));
+}
+
+TEST(Tune, BaselinesAreTheProfilingRuns) {
+  // Both oracles' winners run once per input for verification; the
+  // identity baselines are the profiling runs, counted before this.
+  std::vector<CompiledSuiteProgram> Programs;
+  Programs.push_back(compileAndProfileProgram(*findSuiteProgram("cholesky")));
+  ASSERT_TRUE(Programs[0].Ok) << Programs[0].Error;
+  obs::Telemetry Tele;
+  Tele.install();
+  tune::TuneSuiteReport R = tune::computeTuneReport(Programs);
+  Tele.uninstall();
+  ASSERT_TRUE(R.Programs.at(0).Ok) << R.Programs[0].Error;
+  EXPECT_TRUE(R.AllVerified);
+  const auto It = Tele.counters().find("interp.runs");
+  ASSERT_NE(It, Tele.counters().end());
+  EXPECT_EQ(It->second, 10.0);
+}
+
+TEST(Tune, AstProfiledProgramsTuneLikeBytecodeOnes) {
+  InterpOptions Ast;
+  Ast.Engine = InterpEngine::Ast;
+  std::vector<CompiledSuiteProgram> FromAst, FromBc;
+  for (const char *Name : {"cholesky", "water"}) {
+    FromAst.push_back(compileAndProfileProgram(*findSuiteProgram(Name), Ast));
+    FromBc.push_back(compileAndProfileProgram(*findSuiteProgram(Name)));
+  }
+  tune::TuneOptions O;
+  O.Budget = 5;
+  const std::string Bc =
+      tune::tuneReportJson(tune::computeTuneReport(FromBc, O), O);
+  EXPECT_EQ(Bc, tune::tuneReportJson(tune::computeTuneReport(FromAst, O), O));
+  EXPECT_NE(Bc.find("\"all_verified\":true"), std::string::npos);
+}
+
+TEST(Tune, NonDefaultProfilingOptionsAreNotScored) {
+  const ProgramBlockOrder Identity;
+  InterpOptions RunOpts;
+  RunOpts.Layout = &Identity;
+  std::vector<CompiledSuiteProgram> Programs;
+  Programs.push_back(
+      compileAndProfileProgram(*findSuiteProgram("cholesky"), RunOpts));
+  ASSERT_TRUE(Programs[0].Ok) << Programs[0].Error;
+
+  tune::TuneOptions O;
+  O.Budget = 2;
+  tune::TuneSuiteReport R = tune::computeTuneReport(Programs, O);
+  ASSERT_EQ(R.Programs.size(), 1u);
+  EXPECT_FALSE(R.Programs[0].Ok);
+  EXPECT_NE(R.Programs[0].Error.find("non-default run options"),
+            std::string::npos)
+      << R.Programs[0].Error;
+  EXPECT_NE(tune::tuneReportJson(R, O).find("\"ok\":false"),
+            std::string::npos);
 }
 
 TEST(Tune, TuneSourceServesErrorsInBand) {
