@@ -7,7 +7,8 @@
 // Lowers a compiled BcModule to C, as one self-contained translation unit
 // or as a prelude plus groups compiled as separate units (CSourceParts).
 // The emitted runtime (kRuntimeDecls and kRuntimeDefs below) is a
-// transplant of BytecodeVM.cpp's runtime into C: same value
+// second, independent implementation in C of the interpreters' runtime
+// (interp/RunState.h) and of the VM's dispatch: same value
 // representation, same diagnostics byte for byte, same tick placement,
 // same limit checks in the same order. Every instruction of every chunk becomes straight-line
 // C with operands, offsets, strides, conversions, counter addresses and
@@ -141,10 +142,12 @@ std::string dblLit(double D) {
 // The emitted runtime
 //===----------------------------------------------------------------------===//
 //
-// The runtime below mirrors BytecodeVM.cpp. Value kinds: 0=int,
-// 1=double, 2=ptr, 3=fnptr; fn ids stand in for FunctionDecl pointers
-// (-1 = null). Address spaces: 0=null, 1=global, 2=stack, 3+K=heap
-// block K. All message text must stay byte-identical to the VM's.
+// The runtime below mirrors interp/RunState.h and BytecodeVM.cpp; the
+// BytecodeVM:: names in its comments include what the VM inherits from
+// RunState. Value kinds: 0=int, 1=double, 2=ptr, 3=fnptr; fn ids stand
+// in for FunctionDecl pointers (-1 = null). Address spaces: 0=null,
+// 1=global, 2=stack, 3+K=heap block K. All message text must stay
+// byte-identical to the interpreters'.
 
 const char *kAbiText = R"__C__(
 typedef struct sest_native_params {
@@ -1804,7 +1807,7 @@ void CEmitter::emitWrapper(const FunctionDecl *F, std::string &Out) {
 }
 
 bool CEmitter::emit(CSourceParts &Out) {
-  // Mirror BytecodeVM::run's main checks up front; the host driver turns
+  // Mirror RunState::findMain's checks up front; the host driver turns
   // these into the VM's canned RunResults (fresh result, Error only).
   const FunctionDecl *Main = Unit.findFunction("main");
   if (!Main || !Main->isDefined())

@@ -9,8 +9,9 @@
 /// per mini-C function, with the VM's dispatch loop replaced by direct
 /// control flow (labels + gotos resolved at emission time) and every
 /// profile counter compiled to a plain `+= 1` on a flat static-offset
-/// array. Semantics are a transplant of BytecodeVM.cpp —
-/// same diagnostics, same tick placement, same limit checks in the same
+/// array. Semantics are those of the interpreters' runtime
+/// (interp/RunState.h) and the VM's dispatch, written again in C — same
+/// diagnostics, same tick placement, same limit checks in the same
 /// order — so profiles and RunResults are bit-identical to both
 /// interpreters (tests/test_bytecode_diff.cpp pins this three ways).
 ///

@@ -420,7 +420,7 @@ RunResult NativeArtifact::run(const TranslationUnit &Unit,
   for (uint32_t CS = 0; CS < Unit.NumCallSites; ++CS)
     Prof.CallSiteCounts[CS] = Res.callsites[CS];
 
-  // Mirror BytecodeVM::flushTelemetry (minus the VM-only instr counter).
+  // Mirror RunState::flushTelemetry (without the VM's instr counter).
   if (obs::telemetryActive()) {
     obs::counterAdd("interp.runs");
     obs::counterAdd("interp.steps.executed",

@@ -28,6 +28,7 @@
 #include "interp/bytecode/BytecodeCompiler.h"
 
 #include "cfg/Cfg.h"
+#include "interp/RunState.h"
 #include "lang/Ast.h"
 #include "obs/Telemetry.h"
 
@@ -135,15 +136,6 @@ private:
   void fillInit(uint16_t BaseLoc, int64_t Off, const Type *Ty,
                 const Expr *Init);
   uint16_t locAt(uint16_t BaseLoc, int64_t Off);
-
-  /// Mirrors Interpreter::strideOf.
-  static int64_t strideOf(const Type *PtrTy) {
-    const auto *PT = typeDynCast<PointerType>(PtrTy);
-    if (!PT)
-      return 1;
-    int64_t S = PT->pointee()->sizeInCells();
-    return S > 0 ? S : 1;
-  }
 
   /// Emits the address of \p V into a fresh register (walker varLoc).
   uint16_t emitLea(const VarDecl *V) {

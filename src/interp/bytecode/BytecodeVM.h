@@ -8,8 +8,11 @@
 /// Executes a BcModule with a tight dispatch loop (computed goto on
 /// GCC/Clang, dense switch elsewhere). Produces bit-identical RunResults
 /// — profiles, diagnostics, limit/high-water semantics — to the
-/// tree-walking Interpreter in interp/Interp.cpp, which remains the
-/// reference oracle (InterpEngine::Ast).
+/// tree-walking Interpreter in interp/Interp.cpp (InterpEngine::Ast).
+/// Both run on one runtime, interp/RunState.h, so the walker checks the
+/// VM's lowering — control flow, evaluation order and step accounting —
+/// while the native tier's C runtime, through the RuntimeDiff and
+/// BinOpDiff tests, checks the shared semantics.
 ///
 //===----------------------------------------------------------------------===//
 
