@@ -4,9 +4,10 @@
     scripts/service_smoke.py requests > service_reqs.jsonl
     scripts/service_smoke.py socket PATH service_reqs.jsonl > responses.jsonl
 
-`requests` writes the scripted request stream: six requests over
-tools/testdata/smoke.mc, then the same six again, so the second half is
-answered warm. `socket` replays a stream over a `sestd --socket PATH`
+`requests` writes the scripted request stream: seven requests over
+tools/testdata/smoke.mc, then the same seven again, so the second half
+is answered warm. The last one feeds read_int an out-of-range integer,
+so a sanitized sestd parses it as a client would send it. `socket` replays a stream over a `sestd --socket PATH`
 (waiting up to 10 s for it to listen), writes one response line per
 request to stdout, then sends a shutdown request so the server exits.
 The answers must be byte-identical to the stdio front end's.
@@ -32,6 +33,8 @@ def requests():
         {"id": 4, "op": "estimate", "source": src, "blocks": True},
         {"id": 5, "op": "optimize", "source": src, "passes": "all"},
         {"id": 6, "op": "report", "source": src, "input": "12"},
+        {"id": 7, "op": "report", "source": src,
+         "input": "-9223372036854775808"},
     ]
     for r in reqs + reqs:  # the second half replays warm
         sys.stdout.write(json.dumps(r) + "\n")
