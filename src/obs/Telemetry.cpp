@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <set>
 
 using namespace sest;
 using namespace sest::obs;
@@ -93,12 +94,6 @@ void Telemetry::uninstall() {
   if (detail::Active == this)
     detail::Active = Previous;
   Installed = false;
-}
-
-void Telemetry::setTrack(uint32_t Id, std::string_view Name) {
-  Track = Id;
-  if (!Name.empty())
-    TrackNames[Id] = std::string(Name);
 }
 
 uint64_t Telemetry::nowUs() const {
@@ -237,11 +232,6 @@ void Telemetry::mergeFrom(const Telemetry &Other) {
     for (const auto &[Index, N] : H.Buckets)
       D.Buckets[Index] += N;
   }
-  // Track labels union; events below keep their originating track, so
-  // per-worker timelines survive the merge into the ambient context.
-  for (const auto &[Id, Name] : Other.TrackNames)
-    TrackNames.emplace(Id, Name);
-
   // Graft the phase tree under the innermost open phase so merged work
   // nests where the merge happens (e.g. per-run contexts under
   // "suite.run"). The grafted top-level time is child time of that
@@ -271,8 +261,7 @@ void Telemetry::mergeFrom(const Telemetry &Other) {
 
 bool Telemetry::empty() const {
   return Counters.empty() && Gauges.empty() && Histograms.empty() &&
-         Events.empty() && Root.Children.empty() && Root.ChildUs == 0 &&
-         TrackNames.empty();
+         Events.empty() && Root.Children.empty() && Root.ChildUs == 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,16 +288,11 @@ std::string Telemetry::traceJson() const {
   // One thread-name metadata event per track in use (tid = track + 1,
   // so the main track renders as tid 1). Serial runs only ever touch
   // track 0 and keep a single stable timeline.
-  std::map<uint32_t, std::string> Tracks;
-  Tracks.emplace(Track, std::string());
+  std::set<uint32_t> Tracks{Track};
   for (const TraceEvent &E : Events)
-    Tracks.emplace(E.Track, std::string());
-  for (auto &[Id, Name] : Tracks) {
-    auto It = TrackNames.find(Id);
-    if (It != TrackNames.end())
-      Name = It->second;
-    else
-      Name = Id == 0 ? "main" : "worker-" + std::to_string(Id);
+    Tracks.insert(E.Track);
+  for (uint32_t Id : Tracks) {
+    std::string Name = Id == 0 ? "main" : "worker-" + std::to_string(Id);
     W.beginObject()
         .member("name", "thread_name")
         .member("ph", "M")

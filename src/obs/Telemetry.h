@@ -138,14 +138,9 @@ public:
   /// Assigns every span this context records to trace track \p Id
   /// (0 = the main track). obs::parallelFor's per-task contexts use
   /// their worker's 1-based track, so merged traces keep one timeline
-  /// per worker; \p Name labels the track in trace viewers (unnamed
-  /// tracks render as `worker-N`).
-  void setTrack(uint32_t Id, std::string_view Name = {});
+  /// per worker; trace viewers show track N as `worker-N`.
+  void setTrack(uint32_t Id) { Track = Id; }
   uint32_t track() const { return Track; }
-  /// Track labels known to this context (unioned by mergeFrom()).
-  const std::map<uint32_t, std::string> &trackNames() const {
-    return TrackNames;
-  }
 
   /// Whether completed phases are also kept as trace spans (events()).
   /// On by default. A long-running process that renders no trace turns
@@ -231,7 +226,6 @@ private:
 
   std::chrono::steady_clock::time_point Epoch;
   uint32_t Track = 0;
-  std::map<uint32_t, std::string> TrackNames;
   std::map<std::string, double, std::less<>> Counters;
   std::map<std::string, double, std::less<>> Gauges;
   std::map<std::string, HistogramStats, std::less<>> Histograms;

@@ -182,9 +182,6 @@ private:
   std::vector<const Pass *> Passes;
 };
 
-/// Nomenclature alias: the Pipeline *is* the pass scheduler.
-using PassScheduler = Pipeline;
-
 /// Extends \p W in place after \p M was applied: cloned blocks (and
 /// their arc slots) inherit their origin's weights scaled by the inlined
 /// region's site weight over the callee's invocation weight, applied

@@ -594,7 +594,7 @@ TEST(Telemetry, TraceJsonEmitsPerTrackThreads) {
   // distinct tid (track + 1) with a thread_name metadata record, so the
   // trace viewer shows real per-worker timelines.
   obs::Telemetry Main, Worker;
-  Worker.setTrack(2, "worker-2");
+  Worker.setTrack(2);
   Worker.install();
   { obs::ScopedPhase P("task.on.worker"); }
   Worker.uninstall();
@@ -627,7 +627,7 @@ TEST(Telemetry, TraceJsonEmitsPerTrackThreads) {
 
 TEST(Telemetry, MergePreservesEventTracksAndNames) {
   obs::Telemetry Dst, Src;
-  Src.setTrack(5, "worker-5");
+  Src.setTrack(5);
   Src.install();
   { obs::ScopedPhase P("remote"); }
   Src.uninstall();
@@ -643,8 +643,8 @@ TEST(Telemetry, MergePreservesEventTracksAndNames) {
       EXPECT_EQ(E.Track, 5u);
     }
   EXPECT_TRUE(Found);
-  ASSERT_EQ(Dst.trackNames().count(5), 1u);
-  EXPECT_EQ(Dst.trackNames().at(5), "worker-5");
+  // A track's label follows from its number, so it survives the merge.
+  EXPECT_NE(Dst.traceJson().find("\"worker-5\""), std::string::npos);
   // The destination itself still records on the main track.
   EXPECT_EQ(Dst.track(), 0u);
 }
