@@ -4,13 +4,17 @@
     scripts/service_smoke.py requests > service_reqs.jsonl
     scripts/service_smoke.py socket PATH service_reqs.jsonl > responses.jsonl
 
-`requests` writes the scripted request stream: seven requests over
-tools/testdata/smoke.mc, then the same seven again, so the second half
-is answered warm. The last one feeds read_int an out-of-range integer,
-so a sanitized sestd parses it as a client would send it. `socket` replays a stream over a `sestd --socket PATH`
-(waiting up to 10 s for it to listen), writes one response line per
-request to stdout, then sends a shutdown request so the server exits.
-The answers must be byte-identical to the stdio front end's.
+`requests` writes the scripted request stream: eight requests, then the
+same eight again, so the second half is answered warm. The first seven
+are over tools/testdata/smoke.mc; the seventh feeds read_int an
+out-of-range integer, so a sanitized sestd parses it as a client would
+send it. The eighth estimates a program whose branch condition negates
+INT64_MIN, which branch prediction constant-folds, so a sanitized sestd
+folds that wrapping negation too. `socket` replays a stream over a
+`sestd --socket PATH` (waiting up to 10 s for it to listen), writes one
+response line per request to stdout, then sends a shutdown request so
+the server exits. The answers must be byte-identical to the stdio front
+end's.
 """
 
 import json
@@ -35,6 +39,10 @@ def requests():
         {"id": 6, "op": "report", "source": src, "input": "12"},
         {"id": 7, "op": "report", "source": src,
          "input": "-9223372036854775808"},
+        {"id": 8, "op": "estimate", "source":
+         "int main() {\n  int i;\n  i = read_int();\n"
+         "  if (i < -(-9223372036854775807 - 1))\n    return 1;\n"
+         "  return 0;\n}\n"},
     ]
     for r in reqs + reqs:  # the second half replays warm
         sys.stdout.write(json.dumps(r) + "\n")

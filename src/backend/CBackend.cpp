@@ -191,7 +191,9 @@ typedef struct sest_native_result {
 // declarations of the generic helpers that kRuntimeDefs defines once per
 // program. Only the fast paths are inlined: the operator switch, memory
 // resolution, the per-step tick loop, builtins and the limit and failure
-// paths are calls, so each body stays cheap to compile.
+// paths are calls, so each body stays cheap to compile. The value cell
+// `sv` has the interpreters' own layout (interp/Value.h): a kind byte, a
+// pointer space and one 8-byte payload.
 const char *kRuntimeDecls = R"__C__(
 /* Inlining control. The per-instruction fast paths (sn_hot) are a few
  * instructions each and must inline into the generated bodies, which

@@ -86,18 +86,16 @@ void Interpreter::fillInitializer(Loc Base, const Type *Ty,
     if (const auto *AT = typeDynCast<ArrayType>(Ty)) {
       int64_t Stride = AT->element()->sizeInCells();
       for (size_t I = 0; I < List->elements().size(); ++I)
-        fillInitializer(
-            {Base.Space, Base.Offset + static_cast<int64_t>(I) * Stride},
-            AT->element(), List->elements()[I]);
+        fillInitializer(offsetBy(Base, static_cast<int64_t>(I) * Stride),
+                        AT->element(), List->elements()[I]);
       return;
     }
     if (const auto *ST = typeDynCast<StructType>(Ty)) {
       for (size_t I = 0; I < List->elements().size() &&
                          I < ST->fields().size();
            ++I)
-        fillInitializer(
-            {Base.Space, Base.Offset + ST->fields()[I].OffsetCells},
-            ST->fields()[I].Ty, List->elements()[I]);
+        fillInitializer(offsetBy(Base, ST->fields()[I].OffsetCells),
+                        ST->fields()[I].Ty, List->elements()[I]);
       return;
     }
     fail("braced initializer for scalar");
@@ -111,7 +109,7 @@ void Interpreter::fillInitializer(Loc Base, const Type *Ty,
       zeroCells(Base, Ty->sizeInCells());
       const std::string &S = Str->value();
       for (size_t I = 0; I < S.size(); ++I)
-        storeCell({Base.Space, Base.Offset + static_cast<int64_t>(I)},
+        storeCell(offsetBy(Base, static_cast<int64_t>(I)),
                   Value::makeInt(static_cast<unsigned char>(S[I])));
       return;
     }
@@ -251,8 +249,8 @@ Value Interpreter::evalExpr(const Expr *E) {
   case ExprKind::DoubleLit:
     return Value::makeDouble(exprCast<DoubleLitExpr>(E)->value());
   case ExprKind::StringLit: {
-    Loc L = stringLoc(exprCast<StringLitExpr>(E)->stringId());
-    return Value::makePtr({L.Space, L.Offset});
+    return Value::makePtr(
+        stringLoc(exprCast<StringLitExpr>(E)->stringId()));
   }
   case ExprKind::DeclRef: {
     const auto *Ref = exprCast<DeclRefExpr>(E);
@@ -265,7 +263,7 @@ Value Interpreter::evalExpr(const Expr *E) {
     // Arrays and structs evaluate to their address (decay / aggregate
     // reference).
     if (V->type()->isArray() || V->type()->isStruct())
-      return Value::makePtr({L.Space, L.Offset});
+      return Value::makePtr(L);
     return loadCell(L);
   }
   case ExprKind::Unary:
@@ -289,7 +287,7 @@ Value Interpreter::evalExpr(const Expr *E) {
     if (halted())
       return Value::makeInt(0);
     if (E->type() && (E->type()->isArray() || E->type()->isStruct()))
-      return Value::makePtr({L.Space, L.Offset});
+      return Value::makePtr(L);
     return loadCell(L);
   }
   case ExprKind::Cast: {
@@ -329,7 +327,7 @@ Loc Interpreter::evalLValue(const Expr *E) {
       fail("dereference of non-pointer value");
       return {};
     }
-    return {P.PtrVal.Space, P.PtrVal.Offset};
+    return P.ptr();
   }
   case ExprKind::Index: {
     const auto *I = exprCast<IndexExpr>(E);
@@ -344,8 +342,7 @@ Loc Interpreter::evalLValue(const Expr *E) {
     int64_t Stride = E->type() ? E->type()->sizeInCells() : 1;
     if (Stride <= 0)
       Stride = 1;
-    return {Base.PtrVal.Space,
-            Base.PtrVal.Offset + Idx.asInt() * Stride};
+    return offsetBy(Base.ptr(), wrapMul(Idx.asInt(), Stride));
   }
   case ExprKind::Member: {
     const auto *M = exprCast<MemberExpr>(E);
@@ -357,12 +354,12 @@ Loc Interpreter::evalLValue(const Expr *E) {
         fail("'->' applied to non-pointer value");
         return {};
       }
-      return {Base.PtrVal.Space, Base.PtrVal.Offset + M->fieldOffset()};
+      return offsetBy(Base.ptr(), M->fieldOffset());
     }
     Loc Base = evalLValue(M->base());
     if (halted())
       return {};
-    return {Base.Space, Base.Offset + M->fieldOffset()};
+    return offsetBy(Base, M->fieldOffset());
   }
   default:
     fail("expression is not assignable");
@@ -384,7 +381,7 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     if (E->type() && (E->type()->isArray() || E->type()->isStruct() ||
                       E->type()->isFunction()))
       return P;
-    return loadCell({P.PtrVal.Space, P.PtrVal.Offset});
+    return loadCell(P.ptr());
   }
   case UnaryOp::AddrOf: {
     // &function
@@ -394,13 +391,13 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     Loc L = evalLValue(E->operand());
     if (halted())
       return Value::makeInt(0);
-    return Value::makePtr({L.Space, L.Offset});
+    return Value::makePtr(L);
   }
   case UnaryOp::Neg: {
     Value V = evalExpr(E->operand());
     if (V.isDouble())
       return Value::makeDouble(-V.DoubleVal);
-    return Value::makeInt(-V.asInt());
+    return Value::makeInt(wrapSub(0, V.asInt()));
   }
   case UnaryOp::LogicalNot: {
     Value V = evalExpr(E->operand());
@@ -423,13 +420,11 @@ Value Interpreter::evalUnary(const UnaryExpr *E) {
     Value New;
     if (Old.isPtr()) {
       int64_t Stride = strideOf(E->operand()->type());
-      RuntimePtr P = Old.PtrVal;
-      P.Offset += IsInc ? Stride : -Stride;
-      New = Value::makePtr(P);
+      New = Value::makePtr(offsetBy(Old.ptr(), IsInc ? Stride : -Stride));
     } else if (Old.isDouble()) {
       New = Value::makeDouble(Old.DoubleVal + (IsInc ? 1.0 : -1.0));
     } else {
-      New = Value::makeInt(Old.asInt() + (IsInc ? 1 : -1));
+      New = Value::makeInt(wrapAdd(Old.asInt(), IsInc ? 1 : -1));
     }
     storeCell(L, New);
     return IsPre ? New : Old;
@@ -472,9 +467,8 @@ Value Interpreter::evalAssign(const AssignExpr *E) {
       return Value::makeInt(0);
     if (!Src.isPtr())
       return fail("struct assignment from non-aggregate value");
-    copyCells(Dst, {Src.PtrVal.Space, Src.PtrVal.Offset},
-              LhsTy->sizeInCells());
-    return Value::makePtr({Dst.Space, Dst.Offset});
+    copyCells(Dst, Src.ptr(), LhsTy->sizeInCells());
+    return Value::makePtr(Dst);
   }
 
   Loc Dst = evalLValue(E->lhs());
@@ -533,8 +527,7 @@ Value Interpreter::evalCall(const CallExpr *E) {
         return Value::makeInt(0);
       if (!Src.isPtr())
         return fail("struct argument is not an aggregate");
-      StructArgs.push_back(
-          {{Src.PtrVal.Space, Src.PtrVal.Offset}, PTy->sizeInCells()});
+      StructArgs.push_back({Src.ptr(), PTy->sizeInCells()});
       IsStructArg[I] = true;
     } else {
       Args.push_back(evalExpr(E->args()[I]));

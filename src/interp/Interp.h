@@ -107,7 +107,8 @@ struct InterpOptions {
   /// overflow on builds with large frames (debug, sanitizers), where
   /// MaxCallDepth alone would be reached too late.
   size_t MaxHostStackBytes = 6u << 20;
-  /// Maximum total heap cells.
+  /// Maximum total heap cells. A cell is one 16-byte Value, so the
+  /// default cap allows 2^26 x 16 B = 1 GiB of heap per run.
   int64_t MaxHeapCells = 1 << 26;
   /// Functions whose per-cycle cost is multiplied by OptimizedCostFactor
   /// (the Fig. 10 experiment).

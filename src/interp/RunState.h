@@ -44,11 +44,13 @@
 namespace sest {
 namespace {
 
-/// A resolved memory location (one cell).
-struct Loc {
-  uint32_t Space = 0;
-  int64_t Offset = 0;
-};
+/// A resolved memory location (one cell): a pointer's space and offset.
+using Loc = RuntimePtr;
+
+/// \p L moved by \p Delta cells. Offsets wrap like every int operation.
+inline Loc offsetBy(Loc L, int64_t Delta) {
+  return {L.Space, wrapAdd(L.Offset, Delta)};
+}
 
 /// Pointer step size for arithmetic on \p PtrTy (cells per element).
 inline int64_t strideOf(const Type *PtrTy) {
@@ -154,16 +156,14 @@ protected:
   /// arguments).
   void copyCells(Loc Dst, Loc Src, int64_t N) {
     for (int64_t I = 0; I < N && !halted(); ++I) {
-      Value V = loadCell({Src.Space, Src.Offset + I});
-      storeCell({Dst.Space, Dst.Offset + I}, V);
+      Value V = loadCell(offsetBy(Src, I));
+      storeCell(offsetBy(Dst, I), V);
     }
   }
   void zeroCells(Loc Base, int64_t N) {
     for (int64_t I = 0; I < N; ++I)
-      storeCell({Base.Space, Base.Offset + I}, Value::makeInt(0));
+      storeCell(offsetBy(Base, I), Value::makeInt(0));
   }
-
-  static Loc locOf(const Value &V) { return {V.PtrVal.Space, V.PtrVal.Offset}; }
 
   Loc varLoc(const VarDecl *V) const {
     if (V->storage() == StorageKind::Global)
@@ -198,7 +198,7 @@ protected:
           return V;
         if (V.isInt() && V.IntVal == 0)
           return Value::makeFn(nullptr);
-        if (V.isPtr() && V.PtrVal.isNull())
+        if (V.isPtr() && V.ptr().isNull())
           return Value::makeFn(nullptr);
         return V; // tolerated; call-through will diagnose
       }
@@ -227,9 +227,8 @@ protected:
       if (L.isPtr() || R.isPtr()) {
         Value P = L.isPtr() ? L : R;
         Value N = L.isPtr() ? R : L;
-        RuntimePtr Out = P.PtrVal;
-        Out.Offset += N.asInt() * ResultStride;
-        return Value::makePtr(Out);
+        return Value::makePtr(
+            offsetBy(P.ptr(), wrapMul(N.asInt(), ResultStride)));
       }
       if (L.isDouble() || R.isDouble())
         return Value::makeDouble(L.asDouble() + R.asDouble());
@@ -237,14 +236,14 @@ protected:
     }
     case BinaryOp::Sub: {
       if (L.isPtr() && R.isPtr()) {
-        if (L.PtrVal.Space != R.PtrVal.Space)
+        if (L.ptr().Space != R.ptr().Space)
           return fail("subtracting pointers into different objects");
-        return Value::makeInt((L.PtrVal.Offset - R.PtrVal.Offset) /
+        return Value::makeInt(wrapSub(L.ptr().Offset, R.ptr().Offset) /
                               LhsStride);
       }
       if (L.isPtr()) {
-        RuntimePtr Out = L.PtrVal;
-        Out.Offset -= R.asInt() * ResultStride;
+        RuntimePtr Out = L.ptr();
+        Out.Offset = wrapSub(Out.Offset, wrapMul(R.asInt(), ResultStride));
         return Value::makePtr(Out);
       }
       if (L.isDouble() || R.isDouble())
@@ -294,12 +293,11 @@ protected:
     case BinaryOp::Ge: {
       double Cmp;
       if (L.isPtr() && R.isPtr()) {
-        if (L.PtrVal.Space != R.PtrVal.Space)
-          Cmp = L.PtrVal.Space < R.PtrVal.Space ? -1 : 1;
+        RuntimePtr A = L.ptr(), B = R.ptr();
+        if (A.Space != B.Space)
+          Cmp = A.Space < B.Space ? -1 : 1;
         else
-          Cmp = L.PtrVal.Offset < R.PtrVal.Offset
-                    ? -1
-                    : (L.PtrVal.Offset > R.PtrVal.Offset ? 1 : 0);
+          Cmp = A.Offset < B.Offset ? -1 : (A.Offset > B.Offset ? 1 : 0);
       } else if (L.isDouble() || R.isDouble()) {
         double A = L.asDouble(), B = R.asDouble();
         Cmp = A < B ? -1 : (A > B ? 1 : 0);
@@ -330,7 +328,7 @@ protected:
     case BinaryOp::Ne: {
       bool Equal;
       if (L.isPtr() && R.isPtr())
-        Equal = L.PtrVal == R.PtrVal;
+        Equal = L.ptr() == R.ptr();
       else if (L.isFnPtr() || R.isFnPtr())
         Equal = L.isFnPtr() && R.isFnPtr()
                     ? L.FnVal == R.FnVal
@@ -340,7 +338,7 @@ protected:
         // Pointer vs integer: equal iff both are "null-ish zero".
         const Value &P = L.isPtr() ? L : R;
         const Value &N = L.isPtr() ? R : L;
-        Equal = P.PtrVal.isNull() && N.asInt() == 0;
+        Equal = P.ptr().isNull() && N.asInt() == 0;
       } else if (L.isDouble() || R.isDouble())
         Equal = L.asDouble() == R.asDouble();
       else
@@ -484,9 +482,8 @@ protected:
     case BuiltinKind::PrintStr: {
       if (!A0.isPtr())
         return fail("print_str expects a string pointer");
-      RuntimePtr P = A0.PtrVal;
       for (int64_t I = 0; I < (1 << 20); ++I) {
-        Value C = loadCell({P.Space, P.Offset + I});
+        Value C = loadCell(offsetBy(A0.ptr(), I));
         if (halted())
           return Value::makeInt(0);
         int64_t Ch = C.asInt();
@@ -526,7 +523,7 @@ protected:
     case BuiltinKind::Free: {
       if (!A0.isPtr())
         return fail("free of a non-pointer value");
-      RuntimePtr P = A0.PtrVal;
+      RuntimePtr P = A0.ptr();
       if (P.isNull())
         return Value::makeInt(0);
       size_t Idx = P.Space - static_cast<uint32_t>(MemSpace::HeapBase);

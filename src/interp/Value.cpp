@@ -18,10 +18,10 @@ std::string Value::str() const {
   case Kind::Double:
     return formatDouble(DoubleVal, 6);
   case Kind::Ptr:
-    if (PtrVal.isNull())
+    if (ptr().isNull())
       return "null";
-    return "ptr(" + std::to_string(PtrVal.Space) + ":" +
-           std::to_string(PtrVal.Offset) + ")";
+    return "ptr(" + std::to_string(ptr().Space) + ":" +
+           std::to_string(ptr().Offset) + ")";
   case Kind::FnPtr:
     return FnVal ? "&" + FnVal->name() : "fn(null)";
   }

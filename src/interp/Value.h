@@ -30,7 +30,8 @@ enum class MemSpace : uint32_t {
   HeapBase = 3, ///< Heap block K lives in space HeapBase + K.
 };
 
-/// A runtime pointer: address space + cell offset within it.
+/// A runtime pointer: address space + cell offset within it. Also the
+/// interpreters' resolved memory location (one cell).
 struct RuntimePtr {
   uint32_t Space = 0; ///< 0 = null; see MemSpace.
   int64_t Offset = 0;
@@ -41,23 +42,25 @@ struct RuntimePtr {
   }
 };
 
-/// One runtime value (the contents of one cell).
+/// One runtime value (the contents of one cell): 16 bytes, the layout of
+/// the native tier's `sv`. Only the payload member ValueKind names is
+/// read; a pointer is read whole through ptr().
 struct Value {
   enum class Kind : uint8_t { Int, Double, Ptr, FnPtr };
 
   Kind ValueKind = Kind::Int;
+  uint32_t PtrSpace = 0; ///< Kind::Ptr: the pointer's space; 0 otherwise.
   union {
     int64_t IntVal;
     double DoubleVal;
+    int64_t PtrOffset;         ///< Kind::Ptr: the cell offset in PtrSpace.
+    const FunctionDecl *FnVal; ///< Kind::FnPtr.
   };
-  RuntimePtr PtrVal;                  ///< For Kind::Ptr.
-  const FunctionDecl *FnVal = nullptr; ///< For Kind::FnPtr.
 
   Value() : IntVal(0) {}
 
   static Value makeInt(int64_t V) {
     Value R;
-    R.ValueKind = Kind::Int;
     R.IntVal = V;
     return R;
   }
@@ -70,15 +73,14 @@ struct Value {
   static Value makePtr(RuntimePtr P) {
     Value R;
     R.ValueKind = Kind::Ptr;
-    R.IntVal = 0;
-    R.PtrVal = P;
+    R.PtrSpace = P.Space;
+    R.PtrOffset = P.Offset;
     return R;
   }
   static Value makeNull() { return makePtr(RuntimePtr{0, 0}); }
   static Value makeFn(const FunctionDecl *F) {
     Value R;
     R.ValueKind = Kind::FnPtr;
-    R.IntVal = 0;
     R.FnVal = F;
     return R;
   }
@@ -88,13 +90,16 @@ struct Value {
   bool isPtr() const { return ValueKind == Kind::Ptr; }
   bool isFnPtr() const { return ValueKind == Kind::FnPtr; }
 
+  /// The pointer of a Kind::Ptr value.
+  RuntimePtr ptr() const { return {PtrSpace, PtrOffset}; }
+
   /// Numeric coercions (asserted kinds are the caller's responsibility;
   /// these are lenient to keep the interpreter robust).
   int64_t asInt() const {
     if (isDouble())
       return static_cast<int64_t>(DoubleVal);
     if (isPtr())
-      return PtrVal.Offset; // Pointer-to-int cast; space is dropped.
+      return ptr().Offset; // Pointer-to-int cast; space is dropped.
     if (isFnPtr())
       return FnVal != nullptr;
     return IntVal;
@@ -113,7 +118,7 @@ struct Value {
     case Kind::Double:
       return DoubleVal != 0.0;
     case Kind::Ptr:
-      return !PtrVal.isNull();
+      return !ptr().isNull();
     case Kind::FnPtr:
       return FnVal != nullptr;
     }
@@ -123,6 +128,8 @@ struct Value {
   /// Debug rendering.
   std::string str() const;
 };
+
+static_assert(sizeof(Value) == 16, "one value cell is 16 bytes");
 
 } // namespace sest
 

@@ -129,7 +129,7 @@ Value BytecodeVM::callFunction(const FunctionDecl *F, size_t ArgBase,
     Value Arg = I < NArgs ? Regs[ArgBase + I] : Value::makeInt(0);
     if (PTy && PTy->isStruct()) {
       if (Arg.isPtr())
-        copyCells(PL, locOf(Arg), PTy->sizeInCells());
+        copyCells(PL, Arg.ptr(), PTy->sizeInCells());
     } else {
       storeCell(PL, convert(Arg, P->type()));
     }
@@ -196,8 +196,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
 
   SEST_CASE(ConstStr) : {
     const BcInstr &I = *IP++;
-    Loc L = stringLoc(static_cast<uint32_t>(I.X));
-    R[I.A] = Value::makePtr({L.Space, L.Offset});
+    R[I.A] = Value::makePtr(stringLoc(static_cast<uint32_t>(I.X)));
   }
   SEST_NEXT();
 
@@ -272,7 +271,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
       fail("'->' applied to non-pointer value");
       goto VmHalt;
     }
-    R[I.A] = Value::makePtr({V.PtrVal.Space, V.PtrVal.Offset + I.X});
+    R[I.A] = Value::makePtr(offsetBy(V.ptr(), I.X));
   }
   SEST_NEXT();
 
@@ -283,21 +282,19 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
       fail("indexing a non-pointer value");
       goto VmHalt;
     }
-    R[I.A] = Value::makePtr(
-        {Base.PtrVal.Space, Base.PtrVal.Offset + R[I.C].asInt() * I.X});
+    R[I.A] = Value::makePtr(offsetBy(Base.ptr(), wrapMul(R[I.C].asInt(), I.X)));
   }
   SEST_NEXT();
 
   SEST_CASE(AddOffs) : {
     const BcInstr &I = *IP++;
-    const Value &V = R[I.B];
-    R[I.A] = Value::makePtr({V.PtrVal.Space, V.PtrVal.Offset + I.X});
+    R[I.A] = Value::makePtr(offsetBy(R[I.B].ptr(), I.X));
   }
   SEST_NEXT();
 
   SEST_CASE(LoadCellD) : {
     const BcInstr &I = *IP++;
-    Value V = loadCell(locOf(R[I.B]));
+    Value V = loadCell(R[I.B].ptr());
     if (halted())
       goto VmHalt;
     R[I.A] = V;
@@ -307,7 +304,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
   SEST_CASE(ConvStore) : {
     const BcInstr &I = *IP++;
     Value V = convert(R[I.C], static_cast<const Type *>(I.Ptr));
-    storeCell(locOf(R[I.B]), V);
+    storeCell(R[I.B].ptr(), V);
     if (halted())
       goto VmHalt;
     R[I.A] = V;
@@ -321,17 +318,17 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
       fail("struct assignment from non-aggregate value");
       goto VmHalt;
     }
-    Loc Dst = locOf(R[I.B]);
-    copyCells(Dst, locOf(Src), I.X);
+    Loc Dst = R[I.B].ptr();
+    copyCells(Dst, Src.ptr(), I.X);
     if (halted())
       goto VmHalt;
-    R[I.A] = Value::makePtr({Dst.Space, Dst.Offset});
+    R[I.A] = Value::makePtr(Dst);
   }
   SEST_NEXT();
 
   SEST_CASE(ZeroLoc) : {
     const BcInstr &I = *IP++;
-    zeroCells(locOf(R[I.A]), I.Imm);
+    zeroCells(R[I.A].ptr(), I.Imm);
     if (halted())
       goto VmHalt;
   }
@@ -339,14 +336,14 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
 
   SEST_CASE(StrCopyLoc) : {
     const BcInstr &I = *IP++;
-    Loc Base = locOf(R[I.A]);
+    Loc Base = R[I.A].ptr();
     zeroCells(Base, I.X);
     if (halted())
       goto VmHalt;
     const std::string &S =
         static_cast<const StringLitExpr *>(I.Ptr)->value();
     for (size_t J = 0; J < S.size(); ++J)
-      storeCell({Base.Space, Base.Offset + static_cast<int64_t>(J)},
+      storeCell(offsetBy(Base, static_cast<int64_t>(J)),
                 Value::makeInt(static_cast<unsigned char>(S[J])));
     if (halted())
       goto VmHalt;
@@ -357,7 +354,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
     const BcInstr &I = *IP++;
     const Value &V = R[I.B];
     R[I.A] = V.isDouble() ? Value::makeDouble(-V.DoubleVal)
-                          : Value::makeInt(-V.asInt());
+                          : Value::makeInt(wrapSub(0, V.asInt()));
   }
   SEST_NEXT();
 
@@ -384,7 +381,7 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
     } else if (I.Sub) {
       R[I.A] = P;
     } else {
-      Value V = loadCell(locOf(P));
+      Value V = loadCell(P.ptr());
       if (halted())
         goto VmHalt;
       R[I.A] = V;
@@ -394,20 +391,18 @@ Value BytecodeVM::dispatch(const BcChunk &Ch) {
 
   SEST_CASE(IncDec) : {
     const BcInstr &I = *IP++;
-    Loc L = locOf(R[I.B]);
+    Loc L = R[I.B].ptr();
     Value Old = loadCell(L);
     if (halted())
       goto VmHalt;
     bool IsInc = I.Sub & IncDecIsInc;
     Value New;
     if (Old.isPtr()) {
-      RuntimePtr P = Old.PtrVal;
-      P.Offset += IsInc ? I.X : -I.X;
-      New = Value::makePtr(P);
+      New = Value::makePtr(offsetBy(Old.ptr(), IsInc ? I.X : -I.X));
     } else if (Old.isDouble()) {
       New = Value::makeDouble(Old.DoubleVal + (IsInc ? 1.0 : -1.0));
     } else {
-      New = Value::makeInt(Old.asInt() + (IsInc ? 1 : -1));
+      New = Value::makeInt(wrapAdd(Old.asInt(), IsInc ? 1 : -1));
     }
     storeCell(L, New);
     if (halted())

@@ -21,7 +21,7 @@ static std::optional<ConstValue> foldUnary(const UnaryExpr *U) {
   case UnaryOp::Neg:
     if (Operand->IsDouble)
       return ConstValue::makeDouble(-Operand->DoubleVal);
-    return ConstValue::makeInt(-Operand->IntVal);
+    return ConstValue::makeInt(wrapSub(0, Operand->IntVal));
   case UnaryOp::LogicalNot:
     return ConstValue::makeInt(Operand->isTruthy() ? 0 : 1);
   case UnaryOp::BitNot:

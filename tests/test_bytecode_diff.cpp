@@ -492,12 +492,18 @@ int main() {
 /// cases consume the rest of the input. Cases 1-20 fault on memory (null,
 /// global, stack and heap bounds, (int *)5, use-after-free, double free,
 /// bad frees, bad print_str arguments), 22-31 exercise the other builtins,
-/// struct copies and calls through null function pointers.
+/// struct copies and calls through null function pointers. 32-39 take int
+/// and pointer-offset arithmetic past the int64 bounds, where it wraps.
+/// 40 carries every payload kind through heap and global cells: a pointer
+/// whose offset needs more than 32 bits, a heap pointer, a function
+/// pointer and -0.0.
 const char *RuntimeMatrixSource = R"(
 struct P { int x; int y; double w; };
+struct C { int *h; int (*f)(int); double z; };
 
 int g[4];
 struct P gp;
+struct C gc[2];
 
 void show(struct P q) {
   print_int(q.x); print_char(' '); print_int(q.y); print_char(' ');
@@ -510,10 +516,12 @@ int one() { return g[0]; }
 
 int twice(int v) { return v * 2; }
 
+int thrice(int v) { return v * 3; }
+
 int main() {
   int sel; int a[3]; int *p; int *q; char *s; int v; int i;
   struct P loc; struct P cp; char word[3];
-  int (*fp)(int);
+  int (*fp)(int); struct P *sp; struct C *cs;
   sel = read_int();
   g[0] = 1;
   if (sel == 1) { p = NULL; print_int(*p); }
@@ -570,6 +578,38 @@ int main() {
   }
   if (sel == 30) { fp = NULL; print_int(fp(1)); }
   if (sel == 31) { fp = twice; print_int(fp(21)); fp = 0; print_int(fp(2)); }
+  if (sel == 32) { v = -9223372036854775807 - 1; print_int(-v); }
+  if (sel == 33) {
+    v = 9223372036854775807; print_int(++v); print_char(' ');
+    print_int(v--); print_char(' '); print_int(v);
+  }
+  if (sel == 34) {
+    p = (int *)malloc(4); v = 4611686018427387904;
+    print_int(p + v + v == 0); print_int(p - v - v - v == 0);
+  }
+  if (sel == 35) print_int((int *)-9223372036854775807 - (int *)5);
+  if (sel == 36) { p = (int *)malloc(4) + 1; p[9223372036854775807] = 1; }
+  if (sel == 37) {
+    p = (int *)9223372036854775807; p++; print_int((int)p); print_char(' ');
+    p--; print_int((int)p);
+  }
+  if (sel == 38) { sp = (struct P *)9223372036854775807; print_int(sp->y); }
+  if (sel == 39) { sp = (struct P *)9223372036854775807; print_int((*sp).y); }
+  if (sel == 40) {
+    v = read_int(); p = (int *)v; q = p + 3;
+    print_int(q - p); print_char(' '); print_int((int)q); print_char(' ');
+    print_int(p < q); print_int(p == (int *)0); print_char(' ');
+    cs = (struct C *)malloc(3);
+    cs->h = (int *)malloc(1); cs->h[0] = 10; cs->f = twice; cs->z = -0.0;
+    gc[1] = *cs;
+    print_int(cs->f(21)); print_char(' '); fp = gc[1].f;
+    print_int(fp(21)); print_char(' '); print_int(gc[1].h[0]);
+    print_char(' '); print_double(gc[1].z); print_char(' ');
+    print_int(gc[1].f == twice); print_int(gc[1].f == thrice);
+    print_int(gc[0].f == twice); print_int(gc[1].h == (int *)0);
+    print_int(gc[0].h == (int *)0); print_int(gc[1].h == cs->h);
+    print_int(!cs); print_char(' ');
+  }
   print_str("end\n");
   return sel;
 }
@@ -619,6 +659,16 @@ const RuntimeCase RuntimeCases[] = {
     {"29", "", "1 2 0.5\n10 2 0.5\n10 2 0.5\n1end\n"},
     {"30", "indirect call through a non-function value", ""},
     {"31", "indirect call through a non-function value", "42"},
+    {"32", "", "-9223372036854775808end\n"},
+    {"33", "", "-9223372036854775808 -9223372036854775808 "
+               "9223372036854775807end\n"},
+    {"34", "", "00end\n"},
+    {"35", "", "9223372036854775804end\n"},
+    {"36", "heap write out of bounds", ""},
+    {"37", "", "-9223372036854775808 9223372036854775807end\n"},
+    {"38", "null pointer read", ""},
+    {"39", "null pointer read", ""},
+    {"40 1099511627776", "", "3 1099511627779 10 42 42 10 -0 1000110 end\n"},
 };
 
 TEST(RuntimeDiff, MatrixMatchesAcrossEngines) {
@@ -704,8 +754,9 @@ TEST(BytecodeDiff, ParallelSuiteMatchesSerial) {
     auto It = ParallelTele.counters().find(Name);
     ASSERT_NE(It, ParallelTele.counters().end()) << Name;
     if (Name.find("_ms") == std::string::npos &&
-        Name.find("_us") == std::string::npos)
+        Name.find("_us") == std::string::npos) {
       EXPECT_EQ(Value, It->second) << Name;
+    }
   }
 }
 
@@ -766,8 +817,9 @@ TEST(BytecodeDiff, ParallelSuiteFailureRuleMatchesSerial) {
     auto It = Parallel.Tele.counters().find(Name);
     ASSERT_NE(It, Parallel.Tele.counters().end()) << Name;
     if (Name.find("_ms") == std::string::npos &&
-        Name.find("_us") == std::string::npos)
+        Name.find("_us") == std::string::npos) {
       EXPECT_EQ(Value, It->second) << Name;
+    }
   }
   ASSERT_EQ(Serial.Tele.histograms().size(),
             Parallel.Tele.histograms().size());

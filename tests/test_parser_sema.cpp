@@ -237,6 +237,16 @@ TEST(ConstFold, BasicArithmetic) {
   EXPECT_EQ(*V, 14);
 }
 
+/// -INT64_MIN wraps to INT64_MIN, as it does at run time in every engine.
+TEST(ConstFold, NegationOfInt64MinWraps) {
+  auto C = compile("int x = -(-9223372036854775807 - 1);\n"
+                   "int main() { return x; }");
+  ASSERT_TRUE(C);
+  auto V = foldIntConstant(C->unit().Globals[0]->init());
+  ASSERT_TRUE(V.has_value());
+  EXPECT_EQ(*V, INT64_MIN);
+}
+
 TEST(ConstFold, ShortCircuitWithNonConstRhs) {
   // "0 && f()" folds even though f() does not.
   auto C = compile("int f() { return 1; }\n"

@@ -146,13 +146,6 @@ std::string estimateRequest(const char *Source,
   return R;
 }
 
-uint64_t totalMisses(const Service &S) {
-  uint64_t N = 0;
-  for (const ShardedCache *C : S.caches().all())
-    N += C->stats().Misses;
-  return N;
-}
-
 std::string optimizeRequest(const char *Source) {
   return std::string("{\"op\":\"optimize\",\"source\":\"") +
          jsonEscape(Source) + "\",\"passes\":\"all\"}";

@@ -343,8 +343,9 @@ TEST(ParallelPipeline, SuiteAccuracyTelemetryMatchesSerial) {
     auto It = ParallelTele.counters().find(Name);
     ASSERT_NE(It, ParallelTele.counters().end()) << Name;
     if (Name.find("_ms") == std::string::npos &&
-        Name.find("_us") == std::string::npos)
+        Name.find("_us") == std::string::npos) {
       EXPECT_EQ(Value, It->second) << Name;
+    }
   }
 }
 
