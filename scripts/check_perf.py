@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare fresh performance runs against the checked-in baselines.
 
-Two checks, both with deliberately generous machine-variance tolerance:
+Five checks, all with deliberately generous machine-variance tolerance:
 
 1. Suite wall times: runs ``sestc --suite --report`` and compares
    per-program wall times with ``bench/suite_report.json`` (flag only at
@@ -32,22 +32,6 @@ Two checks, both with deliberately generous machine-variance tolerance:
    process; absolute native wall time against
    ``bench/interp_tiers.json`` is advisory. When the host has no C
    compiler the native tier is a capability skip, not a failure.
-
-6. Optimizer outcomes: runs ``sestc --suite --optimize all --opt-report``
-   and checks ``bench/opt_report.json`` invariants. Differential
-   verification of every inlined program and the layout-cost VM
-   cross-checks are deterministic and checked at full strength; the
-   static recovery ratio must meet the report's own advisory floor and
-   the static-vs-profile decision overlaps (layout pair overlap, inline
-   Jaccard) must not regress below the checked-in baseline by more than
-   ``OVERLAP_SLACK``.
-
-7. Autotuner outcomes: runs ``bench_tune --json`` and checks
-   ``bench/tune_report.json`` invariants. Differential verification of
-   every tuned winner is deterministic and checked at full strength;
-   the static-search recovery must meet the report's own advisory floor
-   (0.70) and the winning-config agreement must not regress below the
-   baseline by more than ``OVERLAP_SLACK``.
 
 When anything fails, the log ends with one line per failed gate naming
 the gate with its baseline-vs-current numbers, so the verdict needs no
@@ -420,184 +404,6 @@ def check_tiers(build, baseline_path, tolerance):
     return 1 if failed else 0
 
 
-OVERLAP_SLACK = 0.05
-
-
-def mean_pair_overlap(report):
-    overlaps = [
-        p["layout"]["static_vs_profile_pair_overlap"]
-        for p in report.get("programs", [])
-        if p.get("ok") and "layout" in p
-    ]
-    return sum(overlaps) / len(overlaps) if overlaps else 0.0
-
-
-def check_opt(build, baseline_path):
-    """Optimizer invariants and decision-overlap no-regression check.
-
-    Returns 0/1/2 like main. Inline verification and the VM cross-checks
-    are deterministic, so they are hard failures; the recovery ratio and
-    overlap floors are the advisory trajectory guard.
-    """
-    sestc = os.path.join(build, "tools", "sestc")
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-    except OSError as e:
-        print(f"check_perf: cannot read opt baseline: {e}", file=sys.stderr)
-        return 2
-
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        fresh_path = tmp.name
-    try:
-        # Exit status reflects verification failures; the JSON says which,
-        # so don't bail on a non-zero exit here.
-        subprocess.run(
-            [sestc, "--suite", "--optimize", "all", "--opt-report",
-             fresh_path],
-            stdout=subprocess.DEVNULL,
-        )
-        with open(fresh_path) as f:
-            fresh = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"check_perf: opt report run failed: {e}", file=sys.stderr)
-        return 2
-    finally:
-        os.unlink(fresh_path)
-
-    failed = False
-    suite = fresh.get("suite", {})
-    layout = suite.get("layout", {})
-    inline = suite.get("inline", {})
-
-    # Deterministic invariants: full strength.
-    if not inline.get("all_verified", False):
-        bad = [
-            f"{p['name']}/{s['source']}"
-            for p in fresh.get("programs", [])
-            for s in p.get("inline", {}).get("sources", [])
-            if not s.get("verified", True)
-        ]
-        print(f"opt: inliner differential verification FAILED: {bad}")
-        failed = True
-        flag_gate("opt inline verification", "all verified",
-                  f"failing: {bad}", "deterministic invariant")
-    if not layout.get("all_crosschecks_ok", False):
-        print("opt: layout-cost VM cross-check FAILED")
-        failed = True
-        flag_gate("opt layout VM cross-check", "all ok", "mismatch",
-                  "deterministic invariant")
-
-    # Advisory trajectory: recovery floor and overlap no-regression.
-    ratio = layout.get("static_recovery_ratio", 0.0)
-    floor = layout.get("recovery_floor", 0.0)
-    flag = "" if ratio >= floor else f"  <-- below {floor:.2f} floor"
-    print(f"opt: static recovery ratio {ratio:.3f}{flag}")
-    if ratio < floor:
-        flag_gate("opt static recovery ratio", f"{floor:.2f} floor",
-                  f"{ratio:.3f}", "advisory floor")
-    failed = failed or ratio < floor
-
-    base_suite = baseline.get("suite", {})
-    for label, base_val, fresh_val in [
-        (
-            "layout pair overlap",
-            mean_pair_overlap(baseline),
-            mean_pair_overlap(fresh),
-        ),
-        (
-            "inline site jaccard",
-            base_suite.get("inline", {}).get("mean_jaccard", 0.0),
-            inline.get("mean_jaccard", 0.0),
-        ),
-    ]:
-        flag = ""
-        if fresh_val < base_val - OVERLAP_SLACK:
-            flag = f"  <-- regressed from baseline {base_val:.3f}"
-            failed = True
-            flag_gate(f"opt {label}", f"{base_val:.3f}",
-                      f"{fresh_val:.3f}", f"slack {OVERLAP_SLACK:.2f}")
-        print(f"opt: static-vs-profile {label} {fresh_val:.3f}{flag}")
-
-    return 1 if failed else 0
-
-
-def check_tune(build, baseline_path):
-    """Autotuner invariants and recovery-floor check. Returns 0/1/2.
-
-    Differential verification of every tuned winner is deterministic and
-    checked at full strength. The static-search recovery (how much of
-    the profile-oracle search's held-out cost reduction the static-
-    oracle search finds) must meet the report's own advisory floor, and
-    the winning-config agreement must not regress below the checked-in
-    baseline by more than ``OVERLAP_SLACK``.
-    """
-    bench = os.path.join(build, "bench", "bench_tune")
-    if not os.path.exists(bench):
-        print(f"check_perf: {bench} not built", file=sys.stderr)
-        return 2
-    try:
-        with open(baseline_path) as f:
-            baseline = json.load(f)
-    except OSError as e:
-        print(f"check_perf: cannot read tune baseline: {e}", file=sys.stderr)
-        return 2
-
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        fresh_path = tmp.name
-    try:
-        # Exit status reflects verification failures; the JSON says
-        # which, so don't bail on a non-zero exit here.
-        subprocess.run(
-            [bench, "--json", fresh_path],
-            stdout=subprocess.DEVNULL,
-        )
-        with open(fresh_path) as f:
-            fresh = json.load(f)
-    except (OSError, ValueError) as e:
-        print(f"check_perf: tune report run failed: {e}", file=sys.stderr)
-        return 2
-    finally:
-        os.unlink(fresh_path)
-
-    failed = False
-    suite = fresh.get("suite", {})
-
-    if not suite.get("all_verified", False):
-        bad = [
-            f"{p['name']}/{o['oracle']}"
-            for p in fresh.get("programs", [])
-            for o in p.get("oracles", [])
-            if not o.get("verified", True)
-        ]
-        print(f"\ntune: winner differential verification FAILED: {bad}")
-        failed = True
-        flag_gate("tune winner verification", "all verified",
-                  f"failing: {bad}", "deterministic invariant")
-
-    recovery = suite.get("static_search_recovery", 0.0)
-    floor = suite.get("recovery_floor", 0.0)
-    flag = "" if recovery >= floor else f"  <-- below {floor:.2f} floor"
-    print(f"\ntune: static search recovery {recovery:.3f}{flag}")
-    if recovery < floor:
-        flag_gate("tune static search recovery", f"{floor:.2f} floor",
-                  f"{recovery:.3f}", "advisory floor")
-        failed = True
-
-    base_overlap = baseline.get("suite", {}).get("mean_config_overlap", 0.0)
-    fresh_overlap = suite.get("mean_config_overlap", 0.0)
-    flag = ""
-    if fresh_overlap < base_overlap - OVERLAP_SLACK:
-        flag = f"  <-- regressed from baseline {base_overlap:.3f}"
-        failed = True
-        flag_gate("tune config overlap", f"{base_overlap:.3f}",
-                  f"{fresh_overlap:.3f}", f"slack {OVERLAP_SLACK:.2f}")
-    print(f"tune: static-vs-profile config overlap {fresh_overlap:.3f}{flag}")
-    print(f"tune: mean regret {suite.get('mean_regret', 0.0):.4f}")
-
-    return 1 if failed else 0
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--build", default="build", help="build directory")
@@ -625,16 +431,6 @@ def main():
         "--tiers-baseline",
         default=os.path.join(ROOT, "bench", "interp_tiers.json"),
         help="checked-in bench_interp --tiers-json baseline",
-    )
-    ap.add_argument(
-        "--opt-baseline",
-        default=os.path.join(ROOT, "bench", "opt_report.json"),
-        help="checked-in optimizer report baseline",
-    )
-    ap.add_argument(
-        "--tune-baseline",
-        default=os.path.join(ROOT, "bench", "tune_report.json"),
-        help="checked-in autotuner report baseline",
     )
     ap.add_argument(
         "--tolerance",
@@ -719,15 +515,13 @@ def main():
         args.build, args.service_baseline, args.tolerance
     )
     tiers_rc = check_tiers(args.build, args.tiers_baseline, args.tolerance)
-    opt_rc = check_opt(args.build, args.opt_baseline)
-    tune_rc = check_tune(args.build, args.tune_baseline)
     if failed or bench_rc != 0 or latency_rc != 0 or service_rc != 0 \
-            or tiers_rc != 0 or opt_rc != 0 or tune_rc != 0:
+            or tiers_rc != 0:
         print("\ncheck_perf: regression flagged (non-blocking signal)")
         for line in FAILED_GATES:
             print(f"check_perf: FAILED {line}")
         return 1 if failed else max(
-            1, bench_rc, latency_rc, service_rc, tiers_rc, opt_rc, tune_rc
+            1, bench_rc, latency_rc, service_rc, tiers_rc
         )
     print("check_perf: within tolerance")
     return 0

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Regenerates every reproduced table and figure plus the test evidence,
-# and refreshes both checked-in baselines (bench/suite_report.json and
-# bench/accuracy_report.json). Baselines must come from a Release build:
+# and refreshes the checked-in baselines (bench/suite_report.json,
+# bench/accuracy_report.json, bench/opt_report.json,
+# bench/tune_report.json and the bench JSON files below). Baselines
+# must come from a Release build:
 # wall times from an unoptimized build are misleading, and mixing build
 # types makes the perf baseline incomparable — so this script configures
 # Release and fails loudly if the build directory disagrees.
@@ -36,23 +38,21 @@ done 2>&1 | tee bench_output.txt
 
 # Refresh the checked-in suite run report (per-program compile time,
 # per-input wall time and resource usage) — the trajectory baseline —
-# and the accuracy baseline (per-entity divergence attribution; see
-# docs/OBSERVABILITY.md and scripts/check_accuracy.py).
+# the accuracy baseline (per-entity divergence attribution; see
+# docs/OBSERVABILITY.md) and the optimizer baseline (static vs profile
+# vs oracle layout / inlining outcomes; see docs/OPTIMIZATION.md). The
+# accuracy and optimizer documents have no wall-clock fields, so they
+# are diff-clean on any machine unless estimates or optimizer decisions
+# actually changed; CI byte-compares fresh copies against them.
 "$BUILD"/tools/sestc --suite \
   --report bench/suite_report.json \
-  --accuracy-report bench/accuracy_report.json
-
-# Refresh the optimizer baseline (static vs profile vs oracle layout /
-# inlining outcomes; see docs/OPTIMIZATION.md and scripts/check_perf.py).
-# The document has no wall-clock fields, so this is diff-clean on any
-# machine unless optimizer decisions actually changed.
-"$BUILD"/bench/bench_opt --json bench/opt_report.json
+  --accuracy-report bench/accuracy_report.json \
+  --opt-report bench/opt_report.json
 
 # Refresh the autotuner baseline (static- vs profile-oracle search over
-# the pass-pipeline configuration space; see docs/TUNING.md and
-# scripts/check_perf.py). Also byte-deterministic: diff-clean on any
-# machine unless search outcomes actually changed.
-"$BUILD"/bench/bench_tune --json bench/tune_report.json
+# the pass-pipeline configuration space; see docs/TUNING.md). Also
+# byte-deterministic and byte-compared in CI.
+"$BUILD"/tools/sestune --report bench/tune_report.json
 
 # Refresh the pipeline stage latency baseline (per-stage p50/p90/p99;
 # advisory guard in scripts/check_perf.py). Wall-clock, so expect the

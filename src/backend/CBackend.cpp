@@ -245,7 +245,9 @@ sn_hot sv sv_fn(int f) {
 }
 
 sn_hot long long sv_as_int(sv v) {
-  if (v.k == 1u) return (long long)v.d;
+  if (v.k == 1u) /* NaN and out-of-range doubles become INT64_MIN. */
+    return v.d >= -0x1p63 && v.d < 0x1p63 ? (long long)v.d
+                                          : -9223372036854775807LL - 1;
   if (v.k == 2u) return v.po;
   if (v.k == 3u) return v.fn >= 0 ? 1 : 0;
   return v.i;

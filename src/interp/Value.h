@@ -15,6 +15,8 @@
 #ifndef INTERP_VALUE_H
 #define INTERP_VALUE_H
 
+#include "support/WrapInt.h"
+
 #include <cstdint>
 #include <string>
 
@@ -97,7 +99,7 @@ struct Value {
   /// these are lenient to keep the interpreter robust).
   int64_t asInt() const {
     if (isDouble())
-      return static_cast<int64_t>(DoubleVal);
+      return doubleToInt(DoubleVal);
     if (isPtr())
       return ptr().Offset; // Pointer-to-int cast; space is dropped.
     if (isFnPtr())

@@ -25,14 +25,15 @@ std::string sest::printExpr(const Expr *E) {
   case ExprKind::Unary: {
     const auto *U = exprCast<UnaryExpr>(E);
     if (U->op() == UnaryOp::PostInc || U->op() == UnaryOp::PostDec)
-      return "(" + printExpr(U->operand()) + unaryOpSpelling(U->op()) + ")";
-    return std::string("(") + unaryOpSpelling(U->op()) +
-           printExpr(U->operand()) + ")";
+      return concat("(", printExpr(U->operand()), unaryOpSpelling(U->op()),
+                    ")");
+    return concat("(", unaryOpSpelling(U->op()), printExpr(U->operand()),
+                  ")");
   }
   case ExprKind::Binary: {
     const auto *B = exprCast<BinaryExpr>(E);
-    return "(" + printExpr(B->lhs()) + " " + binaryOpSpelling(B->op()) +
-           " " + printExpr(B->rhs()) + ")";
+    return concat("(", printExpr(B->lhs()), " ", binaryOpSpelling(B->op()),
+                  " ", printExpr(B->rhs()), ")");
   }
   case ExprKind::Assign: {
     const auto *A = exprCast<AssignExpr>(E);
@@ -40,13 +41,13 @@ std::string sest::printExpr(const Expr *E) {
         A->compoundOp() ? std::string(binaryOpSpelling(*A->compoundOp())) +
                               "="
                         : "=";
-    return "(" + printExpr(A->lhs()) + " " + Op + " " +
-           printExpr(A->rhs()) + ")";
+    return concat("(", printExpr(A->lhs()), " ", Op, " ", printExpr(A->rhs()),
+                  ")");
   }
   case ExprKind::Conditional: {
     const auto *C = exprCast<ConditionalExpr>(E);
-    return "(" + printExpr(C->cond()) + " ? " + printExpr(C->trueExpr()) +
-           " : " + printExpr(C->falseExpr()) + ")";
+    return concat("(", printExpr(C->cond()), " ? ", printExpr(C->trueExpr()),
+                  " : ", printExpr(C->falseExpr()), ")");
   }
   case ExprKind::Call: {
     const auto *C = exprCast<CallExpr>(E);
@@ -69,7 +70,7 @@ std::string sest::printExpr(const Expr *E) {
   }
   case ExprKind::Cast: {
     const auto *C = exprCast<CastExpr>(E);
-    return "(" + C->targetType()->str() + ")" + printExpr(C->operand());
+    return concat("(", C->targetType()->str(), ")", printExpr(C->operand()));
   }
   case ExprKind::InitList: {
     const auto *L = exprCast<InitListExpr>(E);
@@ -123,7 +124,7 @@ private:
       const VarDecl *V = stmtCast<DeclStmt>(S)->var();
       std::string Text = V->type()->str() + " " + V->name();
       if (V->init())
-        Text += " = " + printExpr(V->init());
+        Text += concat(" = ", printExpr(V->init()));
       line(Depth, S, Text + ";");
       return;
     }
@@ -135,7 +136,7 @@ private:
       return;
     case StmtKind::If: {
       const auto *I = stmtCast<IfStmt>(S);
-      line(Depth, S, "if (" + printExpr(I->cond()) + ")");
+      line(Depth, S, concat("if (", printExpr(I->cond()), ")"));
       printStmt(I->thenStmt(), Depth + 1);
       if (I->elseStmt()) {
         line(Depth, S, "else");
@@ -145,7 +146,7 @@ private:
     }
     case StmtKind::While: {
       const auto *W = stmtCast<WhileStmt>(S);
-      line(Depth, S, "while (" + printExpr(W->cond()) + ")");
+      line(Depth, S, concat("while (", printExpr(W->cond()), ")"));
       printStmt(W->body(), Depth + 1);
       return;
     }
@@ -153,7 +154,7 @@ private:
       const auto *D = stmtCast<DoWhileStmt>(S);
       line(Depth, S, "do");
       printStmt(D->body(), Depth + 1);
-      line(Depth, S, "while (" + printExpr(D->cond()) + ");");
+      line(Depth, S, concat("while (", printExpr(D->cond()), ");"));
       return;
     }
     case StmtKind::For: {
@@ -161,22 +162,22 @@ private:
       line(Depth, S, "for (...)");
       printStmt(F->init(), Depth + 1);
       if (F->cond())
-        line(Depth + 1, S, "cond: " + printExpr(F->cond()));
+        line(Depth + 1, S, concat("cond: ", printExpr(F->cond())));
       if (F->step())
-        line(Depth + 1, S, "step: " + printExpr(F->step()));
+        line(Depth + 1, S, concat("step: ", printExpr(F->step())));
       printStmt(F->body(), Depth + 1);
       return;
     }
     case StmtKind::Switch: {
       const auto *Sw = stmtCast<SwitchStmt>(S);
-      line(Depth, S, "switch (" + printExpr(Sw->cond()) + ")");
+      line(Depth, S, concat("switch (", printExpr(Sw->cond()), ")"));
       printStmt(Sw->body(), Depth + 1);
       return;
     }
     case StmtKind::CaseLabel:
       line(Depth, S,
-           "case " +
-               std::to_string(stmtCast<CaseLabelStmt>(S)->value()) + ":");
+           concat("case ",
+                  std::to_string(stmtCast<CaseLabelStmt>(S)->value()), ":"));
       return;
     case StmtKind::DefaultLabel:
       line(Depth, S, "default:");
@@ -190,7 +191,7 @@ private:
     case StmtKind::Return: {
       const auto *R = stmtCast<ReturnStmt>(S);
       line(Depth, S,
-           R->value() ? "return " + printExpr(R->value()) + ";"
+           R->value() ? concat("return ", printExpr(R->value()), ";")
                       : "return;");
       return;
     }

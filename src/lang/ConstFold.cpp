@@ -155,9 +155,8 @@ std::optional<ConstValue> sest::foldConstant(const Expr *E) {
     if (T->isDouble())
       return ConstValue::makeDouble(V->asDouble());
     if (T->isIntegral())
-      return ConstValue::makeInt(V->IsDouble
-                                     ? static_cast<int64_t>(V->DoubleVal)
-                                     : V->IntVal);
+      return ConstValue::makeInt(V->IsDouble ? doubleToInt(V->DoubleVal)
+                                             : V->IntVal);
     return std::nullopt;
   }
   default:

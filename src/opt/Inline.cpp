@@ -8,6 +8,7 @@
 
 #include "obs/EventLog.h"
 #include "obs/Telemetry.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <set>
@@ -558,6 +559,8 @@ InlineMap sest::opt::applyInlining(AstContext &Ctx, CfgModule &Cfgs,
 
 Profile sest::opt::mapInlinedProfile(const InlineMap &M,
                                      const Profile &P) {
+  if (M.OrigNumBlocks.empty())
+    return P; // Nothing was inlined.
   Profile Out;
   Out.ProgramName = P.ProgramName;
   Out.InputName = P.InputName;
@@ -615,9 +618,9 @@ InlineVerifyResult sest::opt::compareInlinedRun(const RunResult &Base,
       R.Detail = std::move(Detail);
   };
   if (Base.Ok != Inlined.Ok) {
-    Fail("completion status differs (base " +
-         std::string(Base.Ok ? "ok" : "aborted") + ", inlined " +
-         std::string(Inlined.Ok ? "ok" : "aborted") + ")");
+    Fail(concat("completion status differs (base ",
+                Base.Ok ? "ok" : "aborted", ", inlined ",
+                Inlined.Ok ? "ok" : "aborted: ", Inlined.Error, ")"));
     return R;
   }
   if (Base.Output != Inlined.Output)

@@ -128,7 +128,8 @@ InlineMap applyInlining(AstContext &Ctx, CfgModule &Cfgs,
 /// originals, region entries restore the callee's EntryCount and the
 /// inlined site's count. On a successful run the result equals the
 /// uninlined program's profile exactly (TotalCycles excluded — inlining
-/// legitimately removes evaluation steps).
+/// legitimately removes evaluation steps). An empty map (a default
+/// InlineMap: nothing inlined) is the identity.
 Profile mapInlinedProfile(const InlineMap &M, const Profile &P);
 
 /// Differential verification verdict for one input.
@@ -138,9 +139,10 @@ struct InlineVerifyResult {
 };
 
 /// Compares a baseline run of the original program against a run of the
-/// inlined program on the same input: Ok/Output/ExitCode must be equal,
-/// and for successful runs the mapped inlined profile must equal the
-/// baseline profile bit-exactly.
+/// optimized program on the same input: Ok/Output/ExitCode must be
+/// equal, and for successful runs the mapped profile must equal the
+/// baseline profile bit-exactly. With an empty \p M this checks a
+/// program that inlined nothing (a layout only changes the order).
 InlineVerifyResult compareInlinedRun(const RunResult &Base,
                                      const RunResult &Inlined,
                                      const InlineMap &M);

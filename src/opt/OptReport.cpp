@@ -262,66 +262,28 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   }
 
   if (DoInline) {
-    std::set<uint32_t> SiteSets[3];
-    // Each source's inlined program, run on every input. applySite
-    // declines before it mutates anything, so the applied-site list (ids
-    // and order) determines the program: a source whose list equals an
-    // earlier one's reuses that source's runs.
-    std::vector<RunResult> Runs[3];
-    for (int S = 0; S < 3; ++S) {
+    TuneConfig InlineOnly;
+    InlineOnly.Order = {PassKind::Inline};
+    InlineOnly.Inline = Options.Inline;
+    ConfigEvaluator Evaluator(CSP, Options.Engine);
+    for (const WeightSource *W : Sources) {
+      ConfigEvaluation E = Evaluator.evaluate(InlineOnly, *W);
       InlineSourceResult IR;
-      IR.Source = Sources[S]->Origin;
-      // Inlining mutates the program, so each variant gets a fresh
-      // compile; ids are stable across compiles of the same source, so
-      // the precomputed weights carry over.
-      CompiledSuiteProgram Fresh = compileProgramOnly(*CSP.Spec);
-      if (!Fresh.Ok) {
-        IR.Verified = false;
-        IR.VerifyDetail = "recompile failed: " + Fresh.Error;
-        R.Inline.push_back(std::move(IR));
-        continue;
-      }
-      const InlinePlan Plan =
-          planInlining(Fresh.unit(), *Fresh.Cfgs, *Fresh.CG, *Sources[S],
-                       Options.Inline);
-      const InlineMap Map =
-          applyInlining(*Fresh.Ctx, *Fresh.Cfgs, Plan);
-      for (const InlineDecision &D : Map.Applied)
-        IR.Sites.push_back(D.CallSiteId);
-      SiteSets[S].insert(IR.Sites.begin(), IR.Sites.end());
-
-      const std::vector<RunResult> *Inlined = nullptr;
-      for (int T = 0; T < S && !Inlined; ++T)
-        if (!Runs[T].empty() && R.Inline[T].Sites == IR.Sites)
-          Inlined = &Runs[T];
-      if (!Inlined) {
-        for (const ProgramInput &In : CSP.Spec->Inputs)
-          Runs[S].push_back(
-              runProgram(Fresh.unit(), *Fresh.Cfgs, In, RunOpts));
-        Inlined = &Runs[S];
-      }
-      for (size_t I = 0; I < Inlined->size(); ++I) {
-        const RunResult &Inl = (*Inlined)[I];
-        const InlineVerifyResult V =
-            compareInlinedRun(CSP.profilingRun(I), Inl, Map);
-        if (!V.Match) {
-          IR.Verified = false;
-          if (IR.VerifyDetail.empty())
-            IR.VerifyDetail =
-                CSP.Spec->Inputs[I].Name + ": " + V.Detail;
-        }
-        if (I == EvalIdx) {
-          const double Cost = Inl.LayoutCost.cost();
-          IR.CostReduction = R.IdentityCost > 0
-                                 ? (R.IdentityCost - Cost) /
-                                       R.IdentityCost
-                                 : 0.0;
-          IR.CallsRemoved = BaseCost.Calls - Inl.LayoutCost.Calls;
-        }
-      }
+      IR.Source = W->Origin;
+      IR.Sites = std::move(E.Sites);
+      IR.Verified = E.Verified;
+      IR.VerifyDetail = std::move(E.VerifyDetail);
+      IR.CostReduction =
+          R.IdentityCost > 0
+              ? (R.IdentityCost - E.EvalCost.cost()) / R.IdentityCost
+              : 0.0;
+      IR.CallsRemoved = BaseCost.Calls - E.EvalCost.Calls;
       R.Inline.push_back(std::move(IR));
     }
-    R.InlineJaccard = jaccard(SiteSets[0], SiteSets[1]);
+    R.InlineJaccard = jaccard(
+        std::set<uint32_t>(R.Inline[0].Sites.begin(), R.Inline[0].Sites.end()),
+        std::set<uint32_t>(R.Inline[1].Sites.begin(),
+                           R.Inline[1].Sites.end()));
   }
 
   R.Ok = true;
@@ -329,6 +291,58 @@ OptProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
 }
 
 } // namespace
+
+ConfigEvaluator::ConfigEvaluator(const CompiledSuiteProgram &CSP,
+                                 InterpEngine Engine)
+    : CSP(CSP) {
+  RunOpts.Engine = Engine;
+}
+
+ConfigEvaluation ConfigEvaluator::evaluate(const TuneConfig &Config,
+                                           const WeightSource &W) {
+  ConfigEvaluation E;
+  CompiledSuiteProgram Fresh = compileProgramOnly(*CSP.Spec);
+  if (!Fresh.Ok) {
+    E.Verified = false;
+    E.VerifyDetail = "recompile failed: " + Fresh.Error;
+    return E;
+  }
+  const TranslationUnit &Unit = Fresh.unit();
+  const PipelineResult PR =
+      Pipeline(Config).run(*Fresh.Ctx, *Fresh.Cfgs, *Fresh.CG, W);
+  for (const InlineDecision &D : PR.Inlined.Applied)
+    E.Sites.push_back(D.CallSiteId);
+  ProgramBlockOrder Order;
+  if (PR.HasLayout)
+    Order = PR.Layout.blockOrder();
+
+  // applySite declines before it mutates anything, so the applied-site
+  // list (ids and order) determines the program.
+  auto Runs = std::find_if(Shared.begin(), Shared.end(), [&](const RunSet &S) {
+    return S.Sites == E.Sites && S.Order == Order;
+  });
+  if (Runs == Shared.end()) {
+    RunSet S{E.Sites, std::move(Order), {}};
+    InterpOptions O = RunOpts;
+    O.Layout = PR.HasLayout ? &S.Order : nullptr;
+    for (const ProgramInput &In : CSP.Spec->Inputs)
+      S.Runs.push_back(runProgram(Unit, *Fresh.Cfgs, In, O));
+    Runs = Shared.insert(Shared.end(), std::move(S));
+  }
+  for (size_t I = 0; I < Runs->Runs.size() && E.Verified; ++I) {
+    const InlineVerifyResult V =
+        compareInlinedRun(CSP.profilingRun(I), Runs->Runs[I], PR.Inlined);
+    E.Verified = V.Match;
+    if (!V.Match)
+      E.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + V.Detail;
+  }
+  const RunResult &Eval = Runs->Runs[CSP.Profiles.size() - 1];
+  E.EvalCost = Eval.LayoutCost;
+  E.EvalFuncOrderCost = functionOrderCost(
+      Unit, *Fresh.CG, weightsFromProfile(Unit, Eval.TheProfile, "eval"),
+      PR.HasFuncOrder ? PR.FuncOrder : identityFunctionOrder(Unit));
+  return E;
+}
 
 OptSuiteReport sest::opt::computeOptReport(
     const std::vector<CompiledSuiteProgram> &Programs,

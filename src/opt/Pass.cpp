@@ -189,18 +189,22 @@ bool TuneConfig::fromJson(std::string_view Json, TuneConfig &Out,
     } else if (Key == "inline") {
       if (!V.isObject())
         return Fail("'inline' must be an object");
-      for (const auto &[IK, IV] : V.Members) {
-        if (!IV.isNumber() || IV.NumberVal < 0.0)
+      for (const auto &[IK, IV] : V.Members)
+        if (IK != "top_k" && IK != "max_callee_blocks" &&
+            IK != "max_total_growth_blocks")
           return Fail("bad inline knob '" + IK + "'");
-        if (IK == "top_k")
-          C.Inline.TopK = static_cast<unsigned>(IV.NumberVal);
-        else if (IK == "max_callee_blocks")
-          C.Inline.MaxCalleeBlocks = static_cast<size_t>(IV.NumberVal);
-        else if (IK == "max_total_growth_blocks")
-          C.Inline.MaxTotalGrowthBlocks = static_cast<size_t>(IV.NumberVal);
-        else
-          return Fail("bad inline knob '" + IK + "'");
-      }
+      uint64_t TopK = C.Inline.TopK, Callee = C.Inline.MaxCalleeBlocks,
+               Growth = C.Inline.MaxTotalGrowthBlocks;
+      std::string E;
+      if (!readIntegerField(V, "top_k", 0.0, 0x1p32, "[0, 2^32)", TopK, E) ||
+          !readIntegerField(V, "max_callee_blocks", 0.0, 0x1p64,
+                            "[0, 2^64)", Callee, E) ||
+          !readIntegerField(V, "max_total_growth_blocks", 0.0, 0x1p64,
+                            "[0, 2^64)", Growth, E))
+        return Fail(E);
+      C.Inline.TopK = static_cast<unsigned>(TopK);
+      C.Inline.MaxCalleeBlocks = Callee;
+      C.Inline.MaxTotalGrowthBlocks = Growth;
     } else if (Key == "funcorder") {
       if (!V.isObject())
         return Fail("'funcorder' must be an object");

@@ -119,27 +119,27 @@ Profile sest::aggregateExcept(const std::vector<Profile> &Profiles,
 
 std::string sest::writeProfileText(const Profile &P) {
   std::string Out;
-  Out += "profile " + P.ProgramName + " " + P.InputName + "\n";
-  Out += "cycles " + formatDouble(P.TotalCycles, 3) + "\n";
-  Out += "functions " + std::to_string(P.Functions.size()) + "\n";
+  Out += concat("profile ", P.ProgramName, " ", P.InputName, "\n");
+  Out += concat("cycles ", formatDouble(P.TotalCycles, 3), "\n");
+  Out += concat("functions ", std::to_string(P.Functions.size()), "\n");
   for (size_t F = 0; F < P.Functions.size(); ++F) {
     const FunctionProfile &FP = P.Functions[F];
-    Out += "function " + std::to_string(F) + " entry " +
-           formatDouble(FP.EntryCount, 6) + "\n";
+    Out += concat("function ", std::to_string(F), " entry ",
+                  formatDouble(FP.EntryCount, 6), "\n");
     Out += "blocks";
     for (double C : FP.BlockCounts)
-      Out += " " + formatDouble(C, 6);
+      Out += concat(" ", formatDouble(C, 6));
     Out += "\n";
     for (size_t B = 0; B < FP.ArcCounts.size(); ++B) {
-      Out += "arcs " + std::to_string(B);
+      Out += concat("arcs ", std::to_string(B));
       for (double C : FP.ArcCounts[B])
-        Out += " " + formatDouble(C, 6);
+        Out += concat(" ", formatDouble(C, 6));
       Out += "\n";
     }
   }
   Out += "callsites";
   for (double C : P.CallSiteCounts)
-    Out += " " + formatDouble(C, 6);
+    Out += concat(" ", formatDouble(C, 6));
   Out += "\n";
   return Out;
 }

@@ -264,23 +264,6 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
   return true;
 }
 
-/// Reads the optional field \p Key into \p Out, rejecting anything but an
-/// integer in [Lo, Hi) (a plain cast would wrap or be undefined).
-bool readIntegerField(const JsonValue &Doc, const char *Key, double Lo,
-                      double Hi, const char *Range, uint64_t &Out,
-                      std::string &Error) {
-  const JsonValue *V = Doc.find(Key);
-  if (!V)
-    return true;
-  if (!V->isNumber() || !(V->NumberVal >= Lo && V->NumberVal < Hi) ||
-      V->NumberVal != std::floor(V->NumberVal)) {
-    Error = std::string(Key) + " must be an integer in " + Range;
-    return false;
-  }
-  Out = static_cast<uint64_t>(V->NumberVal);
-  return true;
-}
-
 Request parseRequest(const std::string &Line) {
   Request R;
   std::optional<JsonValue> Doc = parseJson(Line);

@@ -7,6 +7,7 @@
 #include "suite/Synthetic.h"
 
 #include "support/Prng.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
 #include <vector>
@@ -27,9 +28,10 @@ struct Gen {
 
   explicit Gen(uint64_t Seed) : R(Seed) {}
 
-  void line(int Indent, const std::string &S) {
+  /// Appends one line: \p Indent levels, then every part.
+  template <typename... Parts> void line(int Indent, const Parts &...P) {
     Out.append(static_cast<size_t>(Indent) * 2, ' ');
-    Out += S;
+    (Out += ... += P);
     Out += '\n';
   }
 };
@@ -39,24 +41,23 @@ std::string num(uint64_t V) { return std::to_string(V); }
 /// Serial counted loop nests with embedded two-way branches. Each nest
 /// is its own chain of small cyclic SCCs (one per loop level).
 std::string emitLoopNestFn(Gen &G, size_t Budget) {
-  std::string Name = "fn" + num(G.NextFn++);
+  std::string Name = concat("fn", num(G.NextFn++));
   int MaxDepth = 2 + static_cast<int>(G.R.nextBelow(3)); // 2..4
-  G.line(0, "int " + Name + "(int n) {");
+  G.line(0, "int ", Name, "(int n) {");
   G.line(1, "int acc = 0;");
   for (int D = 0; D < MaxDepth; ++D)
-    G.line(1, "int i" + num(D) + ";");
+    G.line(1, "int i", num(D), ";");
   size_t Used = 2;
   while (Used < Budget) {
     int Depth = 1 + static_cast<int>(G.R.nextBelow(MaxDepth));
     for (int D = 0; D < Depth; ++D) {
-      std::string V = "i" + num(D);
+      std::string V = concat("i", num(D));
       std::string Bound = D == 0 ? "n" : num(2 + G.R.nextBelow(3));
-      G.line(1 + D, "for (" + V + " = 0; " + V + " < " + Bound + "; " +
-                        V + "++) {");
+      G.line(1 + D, "for (", V, " = 0; ", V, " < ", Bound, "; ", V, "++) {");
     }
     uint64_t Mod = 2 + G.R.nextBelow(4);
-    G.line(1 + Depth, "if ((acc + i0 * 2) % " + num(Mod) + " == 0)");
-    G.line(2 + Depth, "acc = acc + " + num(1 + G.R.nextBelow(5)) + ";");
+    G.line(1 + Depth, "if ((acc + i0 * 2) % ", num(Mod), " == 0)");
+    G.line(2 + Depth, "acc = acc + ", num(1 + G.R.nextBelow(5)), ";");
     G.line(1 + Depth, "else");
     G.line(2 + Depth, "acc = acc - 1;");
     for (int D = Depth - 1; D >= 0; --D)
@@ -75,8 +76,8 @@ std::string emitLoopNestFn(Gen &G, size_t Budget) {
 /// dispatch loop is one wide cyclic component; case width is capped so
 /// the dense sub-blocks the sparse solver carves out stay moderate.
 std::string emitSwitchDispatchFn(Gen &G, size_t Budget) {
-  std::string Name = "fn" + num(G.NextFn++);
-  G.line(0, "int " + Name + "(int n) {");
+  std::string Name = concat("fn", num(G.NextFn++));
+  G.line(0, "int ", Name, "(int n) {");
   G.line(1, "int state = 0;");
   G.line(1, "int acc = 0;");
   G.line(1, "int step = 0;");
@@ -85,22 +86,22 @@ std::string emitSwitchDispatchFn(Gen &G, size_t Budget) {
     size_t Cases = std::min<size_t>(
         std::max<size_t>(8, (Budget - Used) / 2), 64);
     G.line(1, "while (step < n * 4) {");
-    G.line(2, "switch (state % " + num(Cases) + ") {");
+    G.line(2, "switch (state % ", num(Cases), ") {");
     for (size_t C = 0; C < Cases; ++C) {
-      G.line(2, "case " + num(C) + ":");
+      G.line(2, "case ", num(C), ":");
       if (G.R.nextBelow(3) == 0) {
         G.line(3, "if (acc % 2 == 0)");
-        G.line(4, "acc = acc + " + num(1 + C % 7) + ";");
+        G.line(4, "acc = acc + ", num(1 + C % 7), ";");
         Used += 3;
       } else {
-        G.line(3, "acc = acc + " + num(1 + C % 5) + ";");
+        G.line(3, "acc = acc + ", num(1 + C % 5), ";");
       }
-      G.line(3, "state = " + num(G.R.nextBelow(Cases * 2)) + " + step;");
+      G.line(3, "state = ", num(G.R.nextBelow(Cases * 2)), " + step;");
       G.line(3, "break;");
       Used += 1;
     }
     G.line(2, "default:");
-    G.line(3, "state = acc % " + num(Cases) + ";");
+    G.line(3, "state = acc % ", num(Cases), ";");
     G.line(3, "break;");
     G.line(2, "}");
     G.line(2, "step++;");
@@ -122,24 +123,24 @@ std::string emitSwitchDispatchFn(Gen &G, size_t Budget) {
 std::string emitGotoCyclesFn(Gen &G, size_t Budget) {
   // Each segment collapses into a single block (statements + the
   // conditional jump), so segments ≈ blocks.
-  std::string Name = "fn" + num(G.NextFn++);
+  std::string Name = concat("fn", num(G.NextFn++));
   size_t K = std::max<size_t>(4, Budget);
-  G.line(0, "int " + Name + "(int n) {");
+  G.line(0, "int ", Name, "(int n) {");
   G.line(1, "int i = 0;");
   G.line(1, "int acc = 0;");
   G.line(1, "if (n % 3 == 1)");
-  G.line(2, "goto L" + num(K / 2) + ";");
+  G.line(2, "goto L", num(K / 2), ";");
   for (size_t J = 0; J < K; ++J) {
-    G.line(0, "L" + num(J) + ":");
+    G.line(0, "L", num(J), ":");
     G.line(1, "i++;");
-    G.line(1, "acc = acc + (i % " + num(2 + J % 5) + ");");
+    G.line(1, "acc = acc + (i % ", num(2 + J % 5), ");");
     // Backward within a small window keeps SCCs real but bounded;
     // forward jumps skip ahead without creating cycles.
     size_t Lo = J > 6 ? J - 6 : 0;
     size_t Hi = std::min(K - 1, J + 9);
     size_t Target = Lo + G.R.nextBelow(Hi - Lo + 1);
     G.line(1, "if (i < n)");
-    G.line(2, "goto L" + num(Target) + ";");
+    G.line(2, "goto L", num(Target), ";");
   }
   G.line(1, "return acc;");
   G.line(0, "}");
@@ -158,12 +159,12 @@ std::vector<std::string> emitWideCallsFns(Gen &G, size_t Budget) {
   size_t NumLeaves = std::max<size_t>(4, Budget / 8);
   std::vector<std::string> Leaves;
   for (size_t L = 0; L < NumLeaves; ++L) {
-    std::string Name = "leaf" + num(Tag) + "_" + num(L);
+    std::string Name = concat("leaf", num(Tag), "_", num(L));
     Leaves.push_back(Name);
-    G.line(0, "int " + Name + "(int x) {");
-    G.line(1, "if (x % " + num(2 + L % 3) + " == 0)");
-    G.line(2, "return x / 2 + " + num(L) + ";");
-    G.line(1, "return x * 3 - " + num(L % 11) + ";");
+    G.line(0, "int ", Name, "(int x) {");
+    G.line(1, "if (x % ", num(2 + L % 3), " == 0)");
+    G.line(2, "return x / 2 + ", num(L), ";");
+    G.line(1, "return x * 3 - ", num(L % 11), ";");
     G.line(0, "}");
     G.Blocks += 4;
   }
@@ -171,35 +172,35 @@ std::vector<std::string> emitWideCallsFns(Gen &G, size_t Budget) {
 
   // A mutually recursive pair: a call-graph SCC the §5.2.2 repair
   // ladder has to handle.
-  std::string Odd = "odd" + num(Tag), Even = "even" + num(Tag);
-  G.line(0, "int " + Odd + "(int n);");
-  G.line(0, "int " + Even + "(int n) {");
+  std::string Odd = concat("odd", num(Tag)), Even = concat("even", num(Tag));
+  G.line(0, "int ", Odd, "(int n);");
+  G.line(0, "int ", Even, "(int n) {");
   G.line(1, "if (n <= 0)");
   G.line(2, "return 1;");
-  G.line(1, "return " + Odd + "(n - 1);");
+  G.line(1, "return ", Odd, "(n - 1);");
   G.line(0, "}");
-  G.line(0, "int " + Odd + "(int n) {");
+  G.line(0, "int ", Odd, "(int n) {");
   G.line(1, "if (n <= 0)");
   G.line(2, "return 0;");
-  G.line(1, "return " + Even + "(n - 1);");
+  G.line(1, "return ", Even, "(n - 1);");
   G.line(0, "}");
   G.Out += '\n';
   G.Blocks += 8;
 
   size_t NumMids = std::max<size_t>(2, NumLeaves / 8);
   for (size_t M = 0; M < NumMids; ++M) {
-    std::string Name = "mid" + num(Tag) + "_" + num(M);
+    std::string Name = concat("mid", num(Tag), "_", num(M));
     Roots.push_back(Name);
-    G.line(0, "int " + Name + "(int n) {");
+    G.line(0, "int ", Name, "(int n) {");
     G.line(1, "int s = 0;");
     G.line(1, "int k;");
     G.line(1, "for (k = 0; k < n; k++) {");
     size_t Fan = 4 + G.R.nextBelow(5);
     for (size_t F = 0; F < Fan; ++F) {
       const std::string &Callee = Leaves[G.R.nextBelow(Leaves.size())];
-      G.line(2, "s = s + " + Callee + "(k + " + num(F) + ");");
+      G.line(2, "s = s + ", Callee, "(k + ", num(F), ");");
     }
-    G.line(2, "s = s + " + Even + "(k % 5);");
+    G.line(2, "s = s + ", Even, "(k % 5);");
     G.line(1, "}");
     G.line(1, "return s;");
     G.line(0, "}");
@@ -295,7 +296,7 @@ std::string sest::generateSyntheticSource(const SyntheticConfig &Config) {
   G.line(1, "int n = 4 + rand() % 5;");
   G.line(1, "int sum = 0;");
   for (const std::string &F : Roots)
-    G.line(1, "sum = sum + " + F + "(n);");
+    G.line(1, "sum = sum + ", F, "(n);");
   G.line(1, "print_int(sum);");
   G.line(1, "return 0;");
   G.line(0, "}");

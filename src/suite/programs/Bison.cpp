@@ -16,6 +16,7 @@
 #include "suite/Suite.h"
 
 #include "support/Prng.h"
+#include "support/StringUtils.h"
 
 #include <string>
 
@@ -240,7 +241,7 @@ std::string makeGrammar(uint64_t Seed, int Nts, int Ts, int Rules) {
       bool Terminal = R.nextBelow(3) != 0;
       int Sym = Terminal ? 64 + static_cast<int>(R.nextBelow(Ts))
                          : static_cast<int>(R.nextBelow(Nts));
-      S += " " + std::to_string(Sym);
+      S += concat(" ", std::to_string(Sym));
     }
     S += "\n";
   }

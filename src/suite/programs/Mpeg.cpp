@@ -17,6 +17,7 @@
 #include "suite/Suite.h"
 
 #include "support/Prng.h"
+#include "support/StringUtils.h"
 
 #include <string>
 
@@ -189,7 +190,7 @@ std::string makeStream(uint64_t Seed, int Quality, int Blocks) {
       int Level = static_cast<int>(R.nextInRange(-40, 40));
       if (Level == 0)
         Level = 7;
-      S += std::to_string(Run) + " " + std::to_string(Level) + " ";
+      S += concat(std::to_string(Run), " ", std::to_string(Level), " ");
     }
     S += "-1\n";
   }

@@ -18,6 +18,7 @@
 #include "suite/Suite.h"
 
 #include "support/Prng.h"
+#include "support/StringUtils.h"
 
 #include <functional>
 #include <string>
@@ -489,7 +490,7 @@ std::string makeForms(uint64_t Seed, int Count, int Depth) {
     S += Ops[Pick];
     unsigned Args = 2 + static_cast<unsigned>(R.nextBelow(3));
     for (unsigned A = 0; A < Args; ++A)
-      S += " " + Gen(D - 1);
+      S += concat(" ", Gen(D - 1));
     return S + ")";
   };
   std::string Out;

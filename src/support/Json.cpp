@@ -199,6 +199,21 @@ double JsonValue::numberOr(std::string_view Key, double Default) const {
   return V && V->isNumber() ? V->NumberVal : Default;
 }
 
+bool sest::readIntegerField(const JsonValue &Doc, const char *Key, double Lo,
+                            double Hi, const char *Range, uint64_t &Out,
+                            std::string &Error) {
+  const JsonValue *V = Doc.find(Key);
+  if (!V)
+    return true;
+  if (!V->isNumber() || !(V->NumberVal >= Lo && V->NumberVal < Hi) ||
+      V->NumberVal != std::floor(V->NumberVal)) {
+    Error = std::string(Key) + " must be an integer in " + Range;
+    return false;
+  }
+  Out = static_cast<uint64_t>(V->NumberVal);
+  return true;
+}
+
 namespace {
 
 class JsonParser {

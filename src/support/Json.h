@@ -121,6 +121,13 @@ struct JsonValue {
 /// Returns nullopt on any syntax error or trailing garbage.
 std::optional<JsonValue> parseJson(std::string_view Text);
 
+/// Reads the optional member \p Key of \p Doc into \p Out, rejecting
+/// anything but an integer in [Lo, Hi) (a plain cast would wrap or be
+/// undefined). \p Range spells the interval for the error message.
+bool readIntegerField(const JsonValue &Doc, const char *Key, double Lo,
+                      double Hi, const char *Range, uint64_t &Out,
+                      std::string &Error);
+
 } // namespace sest
 
 #endif // SUPPORT_JSON_H

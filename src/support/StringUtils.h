@@ -40,6 +40,15 @@ std::string joinStrings(const std::vector<std::string> &Parts,
 /// True when \p Text starts with \p Prefix.
 bool startsWith(std::string_view Text, std::string_view Prefix);
 
+/// Appends every part into one string. Use it instead of an operator+
+/// chain that starts at a literal, which gcc 12 flags with a false
+/// -Wrestrict through operator+(const char *, std::string &&).
+template <typename... Parts> std::string concat(const Parts &...P) {
+  std::string S;
+  (S += ... += P);
+  return S;
+}
+
 } // namespace sest
 
 #endif // SUPPORT_STRINGUTILS_H

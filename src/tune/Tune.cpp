@@ -6,6 +6,8 @@
 
 #include "tune/Tune.h"
 
+#include "opt/OptReport.h"
+
 #include "obs/EventLog.h"
 #include "obs/Parallel.h"
 #include "obs/Telemetry.h"
@@ -279,27 +281,6 @@ struct Search {
   }
 };
 
-/// Output / exit-code / profile identity of two runs of behaviorally
-/// equivalent programs (the layout run's counts must match the identity
-/// run's bit for bit).
-bool sameBehavior(const RunResult &A, const RunResult &B,
-                  std::string &Detail) {
-  if (A.Output != B.Output) {
-    Detail = "output differs";
-    return false;
-  }
-  if (A.ExitCode != B.ExitCode) {
-    Detail = "exit code differs";
-    return false;
-  }
-  if (A.TheProfile.Functions.size() != B.TheProfile.Functions.size() ||
-      A.TheProfile.CallSiteCounts != B.TheProfile.CallSiteCounts) {
-    Detail = "profile differs";
-    return false;
-  }
-  return true;
-}
-
 TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
                                const TuneOptions &Options) {
   obs::ScopedPhase Phase("tune.program", CSP.Spec->Name);
@@ -336,6 +317,7 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
   const WeightSource WProfile =
       weightsFromProfile(Unit, CSP.Profiles[0], "profile");
 
+  opt::ConfigEvaluator Evaluator(CSP, Options.Engine);
   GridPoint WinningPoints[2] = {DefaultPoint, DefaultPoint};
   bool HavePoint[2] = {false, false};
   double EvalCosts[2] = {0.0, 0.0};
@@ -361,58 +343,13 @@ TuneProgramReport scoreProgram(const CompiledSuiteProgram &CSP,
     OR.CacheHits = S.CacheHits;
     OR.Trajectory = std::move(S.Trajectory);
 
-    // Held-out evaluation of the winner: replay the pipeline, run every
-    // input for differential verification, and measure on the
-    // evaluation input.
-    CompiledSuiteProgram Fresh = compileProgramOnly(*CSP.Spec);
-    if (!Fresh.Ok) {
-      R.Error = "recompile failed: " + Fresh.Error;
-      return R;
-    }
-    const TranslationUnit &FUnit = Fresh.unit();
-    const opt::Pipeline Pipe(OR.Best);
-    PipelineResult PR =
-        Pipe.run(*Fresh.Ctx, *Fresh.Cfgs, *Fresh.CG, W);
-    ProgramBlockOrder Order;
-    InterpOptions TunedOpts = RunOpts;
-    if (PR.HasLayout) {
-      Order = PR.Layout.blockOrder();
-      TunedOpts.Layout = &Order;
-    }
-    for (size_t I = 0; I < CSP.Spec->Inputs.size(); ++I) {
-      const RunResult RR = runProgram(FUnit, *Fresh.Cfgs,
-                                      CSP.Spec->Inputs[I], TunedOpts);
-      if (!RR.Ok) {
-        OR.Verified = false;
-        OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + RR.Error;
-        break;
-      }
-      const RunResult Base = CSP.profilingRun(I);
-      std::string Detail;
-      if (PR.HasInline) {
-        const opt::InlineVerifyResult V =
-            opt::compareInlinedRun(Base, RR, PR.Inlined);
-        if (!V.Match) {
-          OR.Verified = false;
-          OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + V.Detail;
-          break;
-        }
-      } else if (!sameBehavior(Base, RR, Detail)) {
-        OR.Verified = false;
-        OR.VerifyDetail = CSP.Spec->Inputs[I].Name + ": " + Detail;
-        break;
-      }
-      if (I == EvalIdx) {
-        OR.EvalLayoutCost = RR.LayoutCost.cost();
-        const WeightSource WEvalPost =
-            weightsFromProfile(FUnit, RR.TheProfile, "eval");
-        const FunctionOrder FO =
-            PR.HasFuncOrder ? PR.FuncOrder
-                            : opt::identityFunctionOrder(FUnit);
-        OR.EvalFuncOrderCost =
-            opt::functionOrderCost(FUnit, *Fresh.CG, WEvalPost, FO);
-      }
-    }
+    // Held-out evaluation of the winner: every input verified against
+    // its profiling run, costs measured on the evaluation input.
+    opt::ConfigEvaluation E = Evaluator.evaluate(OR.Best, W);
+    OR.Verified = E.Verified;
+    OR.VerifyDetail = std::move(E.VerifyDetail);
+    OR.EvalLayoutCost = E.EvalCost.cost();
+    OR.EvalFuncOrderCost = E.EvalFuncOrderCost;
     OR.EvalCost = OR.EvalLayoutCost + OR.EvalFuncOrderCost;
     OR.EvalReduction =
         R.IdentityEvalCost > 0

@@ -496,7 +496,8 @@ int main() {
 /// and pointer-offset arithmetic past the int64 bounds, where it wraps.
 /// 40 carries every payload kind through heap and global cells: a pointer
 /// whose offset needs more than 32 bits, a heap pointer, a function
-/// pointer and -0.0.
+/// pointer and -0.0. 41 converts doubles outside the int64 range, infinity
+/// and NaN to int, which gives INT64_MIN.
 const char *RuntimeMatrixSource = R"(
 struct P { int x; int y; double w; };
 struct C { int *h; int (*f)(int); double z; };
@@ -521,7 +522,7 @@ int thrice(int v) { return v * 3; }
 int main() {
   int sel; int a[3]; int *p; int *q; char *s; int v; int i;
   struct P loc; struct P cp; char word[3];
-  int (*fp)(int); struct P *sp; struct C *cs;
+  int (*fp)(int); struct P *sp; struct C *cs; double d;
   sel = read_int();
   g[0] = 1;
   if (sel == 1) { p = NULL; print_int(*p); }
@@ -610,6 +611,13 @@ int main() {
     print_int(gc[0].h == (int *)0); print_int(gc[1].h == cs->h);
     print_int(!cs); print_char(' ');
   }
+  if (sel == 41) {
+    d = 1e300; print_int((int)d); print_char(' '); print_int((int)-d);
+    print_char(' '); d = d * d; print_int((int)d); print_char(' ');
+    print_int((int)(d - d)); print_char(' ');
+    d = 9223372036854775808.0; v = d; print_int(v); print_char(' ');
+    print_int((int)-d); print_char(' '); print_int((int)-2.7);
+  }
   print_str("end\n");
   return sel;
 }
@@ -669,6 +677,9 @@ const RuntimeCase RuntimeCases[] = {
     {"38", "null pointer read", ""},
     {"39", "null pointer read", ""},
     {"40 1099511627776", "", "3 1099511627779 10 42 42 10 -0 1000110 end\n"},
+    {"41", "", "-9223372036854775808 -9223372036854775808 "
+               "-9223372036854775808 -9223372036854775808 "
+               "-9223372036854775808 -9223372036854775808 -2end\n"},
 };
 
 TEST(RuntimeDiff, MatrixMatchesAcrossEngines) {

@@ -23,12 +23,15 @@
 #include "obs/Telemetry.h"
 #include "opt/OptReport.h"
 #include "suite/SuiteRunner.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <set>
+#include <sstream>
 #include <string_view>
 
 using namespace sest;
@@ -605,6 +608,42 @@ TEST(OptReportRuns, NonDefaultProfilingOptionsAreNotScored) {
       << Rep.Programs[0].Error;
   EXPECT_NE(opt::optReportJson(Rep).find("\"ok\":false"),
             std::string::npos);
+}
+
+/// The "suite" object of a checked-in bench report.
+JsonValue baselineSuite(const char *Name) {
+  std::ifstream In(std::string(SEST_BENCH_DIR) + "/" + Name);
+  std::stringstream SS;
+  SS << In.rdbuf();
+  std::optional<JsonValue> Doc = parseJson(SS.str());
+  const JsonValue *Suite = Doc ? Doc->find("suite") : nullptr;
+  EXPECT_NE(Suite, nullptr) << Name;
+  return Suite ? *Suite : JsonValue{};
+}
+
+bool flag(const JsonValue *Obj, const char *Key) {
+  const JsonValue *V = Obj ? Obj->find(Key) : nullptr;
+  return V && V->isBool() && V->BoolVal;
+}
+
+TEST(Baselines, CheckedInReportsMeetTheirFloors) {
+  // CI byte-compares fresh reports against these files, so these checks
+  // hold for every passing build: static layout recovers at least 80% of
+  // the profile layout's reduction, the static-oracle search at least
+  // 70% of the profile-oracle search's, and every optimized program
+  // verified against its profiling runs.
+  const JsonValue Opt = baselineSuite("opt_report.json");
+  const JsonValue *Layout = Opt.find("layout");
+  ASSERT_NE(Layout, nullptr);
+  EXPECT_GE(Layout->numberOr("static_recovery_ratio", 0.0), 0.8);
+  EXPECT_TRUE(flag(Layout, "meets_floor"));
+  EXPECT_TRUE(flag(Layout, "all_crosschecks_ok"));
+  EXPECT_TRUE(flag(Opt.find("inline"), "all_verified"));
+
+  const JsonValue Tune = baselineSuite("tune_report.json");
+  EXPECT_GE(Tune.numberOr("static_search_recovery", 0.0), 0.7);
+  EXPECT_TRUE(flag(&Tune, "meets_floor"));
+  EXPECT_TRUE(flag(&Tune, "all_verified"));
 }
 
 //===----------------------------------------------------------------------===//

@@ -247,6 +247,24 @@ TEST(ConstFold, NegationOfInt64MinWraps) {
   EXPECT_EQ(*V, INT64_MIN);
 }
 
+/// (int) of NaN or of a double outside [-2^63, 2^63) folds to INT64_MIN,
+/// as it converts at run time in every engine; the rest truncate.
+TEST(ConstFold, OutOfRangeDoubleToIntIsInt64Min) {
+  auto C = compile("int a = (int)1e300; int b = (int)-1e300;\n"
+                   "int c = (int)9223372036854775808.0;\n"
+                   "int d = (int)(1e308 * 10.0 - 1e308 * 10.0);\n"
+                   "int e = (int)-9223372036854775808.0; int f = (int)-2.7;\n"
+                   "int main() { return 0; }");
+  ASSERT_TRUE(C);
+  const int64_t Want[] = {INT64_MIN, INT64_MIN, INT64_MIN,
+                          INT64_MIN, INT64_MIN, -2};
+  for (size_t I = 0; I < 6; ++I) {
+    auto V = foldIntConstant(C->unit().Globals[I]->init());
+    ASSERT_TRUE(V.has_value()) << I;
+    EXPECT_EQ(*V, Want[I]) << I;
+  }
+}
+
 TEST(ConstFold, ShortCircuitWithNonConstRhs) {
   // "0 && f()" folds even though f() does not.
   auto C = compile("int f() { return 1; }\n"

@@ -18,6 +18,7 @@
 #include "metrics/WeightMatching.h"
 #include "profile/Profile.h"
 #include "support/Prng.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
@@ -152,7 +153,7 @@ std::string randomProgram(Prng &R) {
   std::string Body;
   unsigned Loops = 1 + R.nextBelow(3);
   for (unsigned L = 0; L < Loops; ++L) {
-    std::string I = "i" + std::to_string(L);
+    std::string I = concat("i", std::to_string(L));
     Body += "  for (int " + I + " = 0; " + I + " < " +
             std::to_string(2 + R.nextBelow(20)) + "; " + I + "++) {\n";
     if (R.nextBelow(2))

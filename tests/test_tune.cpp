@@ -133,6 +133,31 @@ TEST(TuneConfig, JsonRoundTrip) {
   EXPECT_FALSE(opt::TuneConfig::fromJson("not json", Back, &Err));
 }
 
+TEST(TuneConfig, InlineKnobsMustBeIntegersInRange) {
+  auto Parse = [](const std::string &Knobs, opt::TuneConfig &C,
+                  std::string &Err) {
+    return opt::TuneConfig::fromJson(
+        R"({"schema":"sest-tune-config/1","passes":["inline"],"inline":{)" +
+            Knobs + "}}",
+        C, &Err);
+  };
+  opt::TuneConfig C;
+  std::string Err;
+  for (const char *Bad :
+       {R"("top_k":1e300)", R"("top_k":2.7)", R"("top_k":-1)",
+        R"("top_k":4294967296)", R"("max_callee_blocks":1e300)",
+        R"("max_total_growth_blocks":0.5)"}) {
+    EXPECT_FALSE(Parse(Bad, C, Err)) << Bad;
+    EXPECT_NE(Err.find("must be an integer in"), std::string::npos) << Err;
+  }
+  ASSERT_TRUE(Parse(R"("top_k":4294967295,"max_callee_blocks":0)", C, Err))
+      << Err;
+  EXPECT_EQ(C.Inline.TopK, 4294967295u);
+  EXPECT_EQ(C.Inline.MaxCalleeBlocks, 0u);
+  EXPECT_EQ(C.Inline.MaxTotalGrowthBlocks,
+            opt::InlineOptions().MaxTotalGrowthBlocks);
+}
+
 TEST(TuneConfig, ParseOrderStringRejectsBadLists) {
   std::vector<opt::PassKind> Order;
   std::string Err;
@@ -432,6 +457,32 @@ TEST(Tune, BaselinesAreTheProfilingRuns) {
   const auto It = Tele.counters().find("interp.runs");
   ASSERT_NE(It, Tele.counters().end());
   EXPECT_EQ(It->second, 10.0);
+}
+
+TEST(Tune, WinnerThatInlinesNothingIsHeldToEveryBlockCount) {
+  // One block count of the eval input's profiling run is off by one;
+  // its output, exit code and call-site counts are untouched. The static
+  // winner inlines nothing, and it must still fail verification.
+  std::vector<CompiledSuiteProgram> Programs;
+  Programs.push_back(compileAndProfileProgram(*findSuiteProgram("cholesky")));
+  ASSERT_TRUE(Programs[0].Ok) << Programs[0].Error;
+  Profile &Eval = Programs[0].Profiles.back();
+  auto F = std::find_if(
+      Eval.Functions.begin(), Eval.Functions.end(),
+      [](const FunctionProfile &FP) { return !FP.BlockCounts.empty(); });
+  ASSERT_NE(F, Eval.Functions.end());
+  F->BlockCounts[0] += 1.0;
+
+  tune::TuneOptions O;
+  O.Oracles = {tune::TuneOracle::Static};
+  tune::TuneSuiteReport R = tune::computeTuneReport(Programs, O);
+  ASSERT_TRUE(R.Programs.at(0).Ok) << R.Programs[0].Error;
+  const tune::TuneOracleResult &S = R.Programs[0].Oracles.at(0);
+  EXPECT_FALSE(S.Best.hasPass(opt::PassKind::Inline));
+  EXPECT_FALSE(S.Verified);
+  EXPECT_NE(S.VerifyDetail.find("block counts differ"), std::string::npos)
+      << S.VerifyDetail;
+  EXPECT_FALSE(R.AllVerified);
 }
 
 TEST(Tune, AstProfiledProgramsTuneLikeBytecodeOnes) {

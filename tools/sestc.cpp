@@ -47,6 +47,7 @@
 #include "obs/Telemetry.h"
 #include "profile/Profile.h"
 #include "suite/SuiteRunner.h"
+#include "support/CliOptions.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
@@ -65,15 +66,9 @@ namespace {
 
 void out(const std::string &S) { std::fputs(S.c_str(), stdout); }
 
-/// One option sestc understands. The single source of truth: the usage
+/// The options sestc understands. The single source of truth: the usage
 /// text, `--help`, and the unknown-option suggestion list are all
 /// generated from this table, so they cannot drift apart.
-struct OptionSpec {
-  const char *Flag;
-  const char *Arg;  ///< Value placeholder; null for boolean flags.
-  const char *Help; ///< One-line description.
-};
-
 const OptionSpec OptionTable[] = {
     {"--ast", nullptr, "print the annotated AST (Figure 3 style)"},
     {"--cfg", nullptr, "print control-flow graphs"},
@@ -135,18 +130,8 @@ const OptionSpec OptionTable[] = {
 };
 
 std::string helpText() {
-  std::string S = "usage: sestc [action] [options] file.mc\n";
-  for (const OptionSpec &Opt : OptionTable) {
-    std::string Left = std::string("  ") + Opt.Flag;
-    if (Opt.Arg)
-      Left += std::string(" ") + Opt.Arg;
-    if (Left.size() < 32)
-      Left.resize(32, ' ');
-    else
-      Left += "  ";
-    S += Left + Opt.Help + "\n";
-  }
-  return S;
+  return renderHelp("usage: sestc [action] [options] file.mc", OptionTable,
+                    32);
 }
 
 [[noreturn]] void usage() {
@@ -154,38 +139,11 @@ std::string helpText() {
   std::exit(2);
 }
 
-/// Classic dynamic-programming edit distance, for option suggestions.
-size_t editDistance(const std::string &A, const std::string &B) {
-  std::vector<size_t> Row(B.size() + 1);
-  for (size_t J = 0; J <= B.size(); ++J)
-    Row[J] = J;
-  for (size_t I = 1; I <= A.size(); ++I) {
-    size_t Diag = Row[0];
-    Row[0] = I;
-    for (size_t J = 1; J <= B.size(); ++J) {
-      size_t Next = std::min({Row[J] + 1, Row[J - 1] + 1,
-                              Diag + (A[I - 1] == B[J - 1] ? 0 : 1)});
-      Diag = Row[J];
-      Row[J] = Next;
-    }
-  }
-  return Row[B.size()];
-}
-
 [[noreturn]] void unknownOption(const std::string &A) {
-  std::string Msg = "sestc: unknown option '" + A + "'";
-  const char *Best = nullptr;
-  size_t BestDist = 4; // only suggest plausible typos
-  for (const OptionSpec &Opt : OptionTable) {
-    size_t D = editDistance(A, Opt.Flag);
-    if (D < BestDist) {
-      BestDist = D;
-      Best = Opt.Flag;
-    }
-  }
-  if (Best)
-    Msg += "; did you mean '" + std::string(Best) + "'?";
-  std::fputs((Msg + "\n").c_str(), stderr);
+  std::fputs(concat("sestc: unknown option '", A, "'",
+                    didYouMean(A, OptionTable), "\n")
+                 .c_str(),
+             stderr);
   std::exit(2);
 }
 
@@ -197,17 +155,10 @@ size_t editDistance(const std::string &A, const std::string &B) {
                                std::initializer_list<const char *> Valid) {
   std::string Msg =
       "sestc: unknown value '" + V + "' for " + Flag;
-  const char *Best = nullptr;
-  size_t BestDist = 4; // only suggest plausible typos
-  for (const char *Name : Valid) {
-    size_t D = editDistance(V, Name);
-    if (D < BestDist) {
-      BestDist = D;
-      Best = Name;
-    }
-  }
-  if (Best) {
-    Msg += "; did you mean '" + std::string(Best) + "'?";
+  const std::string Hint =
+      didYouMean(V, Valid, [](const char *Name) { return Name; });
+  if (!Hint.empty()) {
+    Msg += Hint;
   } else {
     Msg += " (expected ";
     bool FirstName = true;
@@ -694,13 +645,10 @@ int runOptimize(const Options &O, AstContext &Ctx, CfgModule &Cfgs,
       Final.Layout = &Order;
     }
     const RunResult Tuned = runProgram(Unit, Cfgs, St.In, Final);
-    if (!Tuned.Ok) {
-      out("pipeline verification FAILED: " + Tuned.Error + "\n");
-      St.Rc = 1;
-    } else if (Tuned.Output != Base.Output ||
-               Tuned.ExitCode != Base.ExitCode) {
-      out("pipeline verification FAILED: output differs from the "
-          "identity baseline\n");
+    const opt::InlineVerifyResult V =
+        opt::compareInlinedRun(Base, Tuned, PR.Inlined);
+    if (!V.Match) {
+      out("pipeline verification FAILED: " + V.Detail + "\n");
       St.Rc = 1;
     } else {
       out("\npipeline verification: ok; final cost on this input: " +
@@ -963,20 +911,15 @@ int runAction(const Options &O) {
   if (O.Action == "--dump-suite-program") {
     const SuiteProgram *P = findSuiteProgram(O.DumpSuiteProgram);
     if (!P) {
-      std::string Msg = "sestc: unknown suite program '" +
-                        O.DumpSuiteProgram + "'";
-      const std::string *Best = nullptr;
-      size_t BestDist = 4;
-      for (const SuiteProgram &Cand : benchmarkSuite()) {
-        size_t D = editDistance(O.DumpSuiteProgram, Cand.Name);
-        if (D < BestDist) {
-          BestDist = D;
-          Best = &Cand.Name;
-        }
-      }
-      if (Best)
-        Msg += "; did you mean '" + *Best + "'?";
-      std::fputs((Msg + "\n").c_str(), stderr);
+      std::fputs(concat("sestc: unknown suite program '",
+                        O.DumpSuiteProgram, "'",
+                        didYouMean(O.DumpSuiteProgram, benchmarkSuite(),
+                                   [](const SuiteProgram &P) {
+                                     return std::string_view(P.Name);
+                                   }),
+                        "\n")
+                     .c_str(),
+                 stderr);
       return 2;
     }
     out(P->Source);

@@ -27,6 +27,7 @@
 #include "obs/Export.h"
 #include "obs/Telemetry.h"
 #include "obs/Window.h"
+#include "support/CliOptions.h"
 
 #include <cerrno>
 #include <cstdio>
@@ -48,14 +49,8 @@ namespace {
 void out(const std::string &S) { std::fputs(S.c_str(), stdout); }
 void err(const std::string &S) { std::fputs(S.c_str(), stderr); }
 
-/// One option sestd understands; generates the usage text (same single
+/// The options sestd understands; generates the usage text (same single
 /// source of truth scheme as sestc).
-struct OptionSpec {
-  const char *Flag;
-  const char *Arg;  ///< Value placeholder; null for boolean flags.
-  const char *Help; ///< One-line description.
-};
-
 const OptionSpec OptionTable[] = {
     {"--jobs", "N",
      "worker threads per batch (default 1, 0 = cores; responses "
@@ -80,16 +75,7 @@ const OptionSpec OptionTable[] = {
 };
 
 std::string helpText() {
-  std::string S = "usage: sestd [options]\n";
-  for (const OptionSpec &Opt : OptionTable) {
-    std::string Left = std::string("  ") + Opt.Flag;
-    if (Opt.Arg)
-      Left += std::string(" ") + Opt.Arg;
-    if (Left.size() < 24)
-      Left.resize(24, ' ');
-    S += Left + " " + Opt.Help + "\n";
-  }
-  return S;
+  return renderHelp("usage: sestd [options]", OptionTable, 25);
 }
 
 struct Options {
@@ -182,7 +168,8 @@ Options parseArgs(int argc, char **argv) {
         usageError("--log requires a file");
       O.LogFile = argv[++I];
     } else {
-      usageError("unknown option '" + A + "'");
+      usageError(concat("unknown option '", A, "'",
+                        didYouMean(A, OptionTable)));
     }
   }
   return O;

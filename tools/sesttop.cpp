@@ -20,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Export.h"
+#include "support/CliOptions.h"
 #include "support/Json.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
@@ -48,14 +49,8 @@ namespace {
 void out(const std::string &S) { std::fputs(S.c_str(), stdout); }
 void err(const std::string &S) { std::fputs(S.c_str(), stderr); }
 
-/// One option sesttop understands; generates the usage text (same
+/// The options sesttop understands; generates the usage text (same
 /// single-source-of-truth scheme as sestc/sestd).
-struct OptionSpec {
-  const char *Flag;
-  const char *Arg;  ///< Value placeholder; null for boolean flags.
-  const char *Help; ///< One-line description.
-};
-
 const OptionSpec OptionTable[] = {
     {"--socket", "PATH", "scrape a running sestd on this Unix socket"},
     {"--spawn", "BIN",
@@ -77,17 +72,9 @@ const OptionSpec OptionTable[] = {
 };
 
 std::string helpText() {
-  std::string S = "usage: sesttop (--socket PATH | --spawn BIN | --file FILE"
-                  " | --lint FILE) [options]\n";
-  for (const OptionSpec &Opt : OptionTable) {
-    std::string Left = std::string("  ") + Opt.Flag;
-    if (Opt.Arg)
-      Left += std::string(" ") + Opt.Arg;
-    if (Left.size() < 24)
-      Left.resize(24, ' ');
-    S += Left + " " + Opt.Help + "\n";
-  }
-  return S;
+  return renderHelp("usage: sesttop (--socket PATH | --spawn BIN | --file "
+                    "FILE | --lint FILE) [options]",
+                    OptionTable, 25);
 }
 
 struct Options {
@@ -145,7 +132,8 @@ Options parseArgs(int argc, char **argv) {
     } else if (A == "--count") {
       O.Count = NumberArg(I, "--count");
     } else {
-      usageError("unknown option '" + A + "'");
+      usageError(concat("unknown option '", A, "'",
+                        didYouMean(A, OptionTable)));
     }
   }
   int Sources = (!O.SocketPath.empty()) + (!O.SpawnBin.empty()) +

@@ -21,6 +21,7 @@
 #include "obs/EventLog.h"
 #include "obs/Telemetry.h"
 #include "suite/SuiteRunner.h"
+#include "support/CliOptions.h"
 #include "support/StringUtils.h"
 #include "support/TextTable.h"
 #include "tune/Tune.h"
@@ -39,14 +40,8 @@ namespace {
 
 void out(const std::string &S) { std::fputs(S.c_str(), stdout); }
 
-/// One option sestune understands: the single source of truth for the
+/// The options sestune understands: the single source of truth for the
 /// usage text, `--help`, and the unknown-option suggestion list.
-struct OptionSpec {
-  const char *Flag;
-  const char *Arg;  ///< Value placeholder; null for boolean flags.
-  const char *Help; ///< One-line description.
-};
-
 const OptionSpec OptionTable[] = {
     {"--oracle", "LIST",
      "comma-separated cost oracles: static|profile|measured "
@@ -74,18 +69,7 @@ const OptionSpec OptionTable[] = {
 };
 
 std::string helpText() {
-  std::string S = "usage: sestune [options]\n";
-  for (const OptionSpec &Opt : OptionTable) {
-    std::string Left = std::string("  ") + Opt.Flag;
-    if (Opt.Arg)
-      Left += std::string(" ") + Opt.Arg;
-    if (Left.size() < 28)
-      Left.resize(28, ' ');
-    else
-      Left += "  ";
-    S += Left + Opt.Help + "\n";
-  }
-  return S;
+  return renderHelp("usage: sestune [options]", OptionTable, 28);
 }
 
 [[noreturn]] void usage() {
@@ -93,37 +77,11 @@ std::string helpText() {
   std::exit(2);
 }
 
-size_t editDistance(const std::string &A, const std::string &B) {
-  std::vector<size_t> Row(B.size() + 1);
-  for (size_t J = 0; J <= B.size(); ++J)
-    Row[J] = J;
-  for (size_t I = 1; I <= A.size(); ++I) {
-    size_t Diag = Row[0];
-    Row[0] = I;
-    for (size_t J = 1; J <= B.size(); ++J) {
-      size_t Next = std::min({Row[J] + 1, Row[J - 1] + 1,
-                              Diag + (A[I - 1] == B[J - 1] ? 0 : 1)});
-      Diag = Row[J];
-      Row[J] = Next;
-    }
-  }
-  return Row[B.size()];
-}
-
 [[noreturn]] void unknownOption(const std::string &A) {
-  std::string Msg = "sestune: unknown option '" + A + "'";
-  const char *Best = nullptr;
-  size_t BestDist = 4; // only suggest plausible typos
-  for (const OptionSpec &Opt : OptionTable) {
-    size_t D = editDistance(A, Opt.Flag);
-    if (D < BestDist) {
-      BestDist = D;
-      Best = Opt.Flag;
-    }
-  }
-  if (Best)
-    Msg += "; did you mean '" + std::string(Best) + "'?";
-  std::fputs((Msg + "\n").c_str(), stderr);
+  std::fputs(concat("sestune: unknown option '", A, "'",
+                    didYouMean(A, OptionTable), "\n")
+                 .c_str(),
+             stderr);
   std::exit(2);
 }
 
@@ -267,19 +225,14 @@ std::vector<CompiledSuiteProgram> gatherPrograms(const Options &O,
   for (const std::string &Name : O.Programs) {
     const SuiteProgram *Spec = findSuiteProgram(Name);
     if (!Spec) {
-      std::string Msg = "sestune: unknown suite program '" + Name + "'";
-      const std::string *Best = nullptr;
-      size_t BestDist = 4;
-      for (const SuiteProgram &Cand : benchmarkSuite()) {
-        size_t D = editDistance(Name, Cand.Name);
-        if (D < BestDist) {
-          BestDist = D;
-          Best = &Cand.Name;
-        }
-      }
-      if (Best)
-        Msg += "; did you mean '" + *Best + "'?";
-      std::fputs((Msg + "\n").c_str(), stderr);
+      std::fputs(concat("sestune: unknown suite program '", Name, "'",
+                        didYouMean(Name, benchmarkSuite(),
+                                   [](const SuiteProgram &P) {
+                                     return std::string_view(P.Name);
+                                   }),
+                        "\n")
+                     .c_str(),
+                 stderr);
       Err = true;
       return {};
     }
