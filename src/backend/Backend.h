@@ -71,8 +71,9 @@ public:
                                  std::string *Error) const = 0;
 
   /// Lowers, compiles, and loads. Null + \p Error on failure. Artifacts
-  /// are memoized process-wide by generated-source content hash, so
-  /// repeated compiles of the same program + plan are free.
+  /// are memoized process-wide by generated source while anything holds
+  /// them (and the most recent one always), so repeated compiles of the
+  /// same program + plan are free.
   virtual std::shared_ptr<const NativeArtifact>
   compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
           const bc::BcModule &Bc, const NativeLayoutPlan &Plan,

@@ -9,9 +9,9 @@
 // compiled at once and linked into one object), dlopen the shared object,
 // verify the ABI handshake, and decode sest_native_result back into the
 // RunResult contract. Loaded artifacts are memoized process-wide by
-// generated-source content hash; the hook registration at the bottom
-// routes runProgram(Engine=Native) here without making src/interp depend
-// on this library.
+// generated source, held weakly (plus the most recent one); the hook
+// registration at the bottom routes runProgram(Engine=Native) here
+// without making src/interp depend on this library.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,9 +33,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include <dlfcn.h>
 #include <fcntl.h>
@@ -257,6 +257,56 @@ NativeArtifact::~NativeArtifact() {
     ::dlclose(Handle);
 }
 
+namespace {
+
+/// Loaded artifacts by generated source, byte for byte. The memo holds
+/// them weakly, so an object unloads once its last holder (a cache
+/// entry, a suite program, a run) lets go; it also holds the most recent
+/// one, so back-to-back runProgram(Engine=Native) calls on one program
+/// compile it once. Expired slots are swept on the next insert.
+struct ArtifactMemo {
+  struct BySourceHash {
+    size_t operator()(const std::string &S) const { return wordHash64(S); }
+  };
+  std::mutex Mu;
+  std::unordered_map<std::string, std::weak_ptr<const NativeArtifact>,
+                     BySourceHash>
+      Loaded;
+  std::shared_ptr<const NativeArtifact> Recent;
+
+  /// The live artifact for \p Source (now the most recent), or null.
+  std::shared_ptr<const NativeArtifact> find(const std::string &Source) {
+    std::shared_ptr<const NativeArtifact> Hit, Previous;
+    std::lock_guard<std::mutex> L(Mu);
+    if (auto It = Loaded.find(Source); It != Loaded.end())
+      Hit = It->second.lock();
+    if (Hit)
+      Previous = std::exchange(Recent, Hit);
+    return Hit; // Previous unloads, if it must, after the lock
+  }
+
+  /// Records \p A for \p Source unless a live artifact raced it in;
+  /// returns whichever is now memoized.
+  std::shared_ptr<const NativeArtifact>
+  insert(std::string Source, std::shared_ptr<const NativeArtifact> A) {
+    std::shared_ptr<const NativeArtifact> Previous, Duplicate;
+    std::lock_guard<std::mutex> L(Mu);
+    std::erase_if(Loaded, [](const auto &KV) { return KV.second.expired(); });
+    auto [It, Inserted] = Loaded.try_emplace(std::move(Source), A);
+    if (!Inserted) // not expired: just swept
+      Duplicate = std::exchange(A, It->second.lock());
+    Previous = std::exchange(Recent, A);
+    return A; // Previous and Duplicate unload after the lock
+  }
+};
+
+ArtifactMemo &artifactMemo() {
+  static ArtifactMemo M;
+  return M;
+}
+
+} // namespace
+
 std::shared_ptr<const NativeArtifact>
 CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
                   const bc::BcModule &Bc, const NativeLayoutPlan &Plan,
@@ -267,17 +317,10 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
     return nullptr;
   // The memo key is the one-unit source, whatever the shard count.
   std::string Source = Parts.singleUnit();
+  if (auto Hit = artifactMemo().find(Source))
+    return Hit;
   std::string Hash = hashHex(contentHash64(Source));
   size_t SourceBytes = Source.size();
-
-  static std::mutex CacheMu;
-  static std::map<std::string, std::shared_ptr<const NativeArtifact>> Cache;
-  {
-    std::lock_guard<std::mutex> L(CacheMu);
-    auto It = Cache.find(Hash);
-    if (It != Cache.end())
-      return It->second;
-  }
 
   std::string Why;
   if (!nativeEngineAvailable(&Why)) {
@@ -339,9 +382,7 @@ CBackend::compile(const TranslationUnit &Unit, const CfgModule &Cfgs,
                     static_cast<double>(A->SourceBytes));
   }
 
-  std::lock_guard<std::mutex> L(CacheMu);
-  auto [It, Inserted] = Cache.emplace(Hash, A);
-  return Inserted ? A : It->second;
+  return artifactMemo().insert(std::move(Source), std::move(A));
 }
 
 //===----------------------------------------------------------------------===//

@@ -9,10 +9,11 @@
 /// over the CBackend's emitted source (one translation unit, or one
 /// shard per core compiled at once and linked), dlopen the shared
 /// object, and run it under the RunResult contract. Loaded artifacts are
-/// memoized process-wide by generated-source content hash (the hash
-/// covers program + layout plan, since both are compiled in), so the
-/// suite pool and the sestd cache tier share one compile per
-/// (program, plan).
+/// memoized process-wide by generated source (program + layout plan,
+/// since both are compiled in), so the suite pool and the sestd cache
+/// tier share one compile per (program, plan). The memo holds artifacts
+/// weakly, plus the most recently used one: an object unloads once
+/// nothing else holds it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +57,8 @@ public:
   NativeArtifact(const NativeArtifact &) = delete;
   NativeArtifact &operator=(const NativeArtifact &) = delete;
 
-  /// Content hash (hex) of the generated source this artifact was built
-  /// from — the memoization key.
+  /// FNV-1a (hex) of the generated source this artifact was built from:
+  /// an identifier for logs and traces, not the memo key.
   const std::string &sourceHash() const { return SourceHash; }
   /// Size of the generated C source in bytes (observability).
   size_t sourceBytes() const { return SourceBytes; }

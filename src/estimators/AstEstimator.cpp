@@ -10,18 +10,6 @@
 
 using namespace sest;
 
-const char *sest::intraEstimatorName(IntraEstimatorKind K) {
-  switch (K) {
-  case IntraEstimatorKind::Loop:
-    return "loop";
-  case IntraEstimatorKind::Smart:
-    return "smart";
-  case IntraEstimatorKind::Markov:
-    return "markov";
-  }
-  return "?";
-}
-
 double AstFrequencies::lookup(const Stmt *S, AnchorKind K) const {
   if (!S)
     return 0.0;

@@ -45,9 +45,6 @@ enum class IntraEstimatorKind {
   Markov, ///< CFG linear system (see MarkovIntra.h)
 };
 
-/// Name for table/report output ("loop", "smart", "markov").
-const char *intraEstimatorName(IntraEstimatorKind K);
-
 /// Per-statement frequencies from the AST walk (keyed by statement node
 /// id).
 struct AstFrequencies {

@@ -19,22 +19,6 @@
 
 using namespace sest;
 
-const char *sest::interEstimatorName(InterEstimatorKind K) {
-  switch (K) {
-  case InterEstimatorKind::CallSite:
-    return "call-site";
-  case InterEstimatorKind::Direct:
-    return "direct";
-  case InterEstimatorKind::AllRec:
-    return "all_rec";
-  case InterEstimatorKind::AllRec2:
-    return "all_rec2";
-  case InterEstimatorKind::Markov:
-    return "markov";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Functions that directly call themselves.

@@ -74,9 +74,6 @@ enum class InterEstimatorKind {
   Markov,
 };
 
-/// Name for table output ("call-site", "direct", ...).
-const char *interEstimatorName(InterEstimatorKind K);
-
 /// Tuning for the inter-procedural estimators.
 struct InterEstimatorConfig {
   /// Multiplier applied to recursive functions by direct/all_rec (the

@@ -11,6 +11,64 @@
 
 using namespace sest;
 
+namespace {
+
+/// The one estimator-name table. A kind's first row is its printed name.
+template <typename Kind> struct NameRow {
+  Kind K;
+  const char *Name;
+};
+constexpr NameRow<IntraEstimatorKind> IntraNames[] = {
+    {IntraEstimatorKind::Loop, "loop"},
+    {IntraEstimatorKind::Smart, "smart"},
+    {IntraEstimatorKind::Markov, "markov"},
+};
+constexpr NameRow<InterEstimatorKind> InterNames[] = {
+    {InterEstimatorKind::CallSite, "call-site"},
+    {InterEstimatorKind::CallSite, "call_site"},
+    {InterEstimatorKind::Direct, "direct"},
+    {InterEstimatorKind::AllRec, "all_rec"},
+    {InterEstimatorKind::AllRec2, "all_rec2"},
+    {InterEstimatorKind::Markov, "markov"},
+};
+
+template <typename Kind, size_t N>
+const char *nameOf(const NameRow<Kind> (&Rows)[N], Kind K) {
+  for (const NameRow<Kind> &R : Rows)
+    if (R.K == K)
+      return R.Name;
+  return "?";
+}
+
+template <typename Kind, size_t N>
+bool parseName(const NameRow<Kind> (&Rows)[N], std::string_view Name,
+               Kind &K) {
+  for (const NameRow<Kind> &R : Rows)
+    if (Name == R.Name) {
+      K = R.K;
+      return true;
+    }
+  return false;
+}
+
+} // namespace
+
+const char *sest::intraEstimatorName(IntraEstimatorKind K) {
+  return nameOf(IntraNames, K);
+}
+
+const char *sest::interEstimatorName(InterEstimatorKind K) {
+  return nameOf(InterNames, K);
+}
+
+bool sest::parseIntraEstimator(std::string_view Name, IntraEstimatorKind &K) {
+  return parseName(IntraNames, Name, K);
+}
+
+bool sest::parseInterEstimator(std::string_view Name, InterEstimatorKind &K) {
+  return parseName(InterNames, Name, K);
+}
+
 IntraEstimates sest::computeIntraEstimates(
     const TranslationUnit &Unit, const CfgModule &Cfgs,
     const EstimatorOptions &Options,

@@ -25,7 +25,17 @@
 #include "estimators/MarkovIntra.h"
 #include "profile/Profile.h"
 
+#include <string_view>
+
 namespace sest {
+
+/// Estimator names, for reports and tables ("smart", "call-site", ...).
+const char *intraEstimatorName(IntraEstimatorKind K);
+const char *interEstimatorName(InterEstimatorKind K);
+/// Parses a name the tools and the service accept into \p K; false when
+/// unknown. Besides the printed names, `call_site` is `call-site`.
+bool parseIntraEstimator(std::string_view Name, IntraEstimatorKind &K);
+bool parseInterEstimator(std::string_view Name, InterEstimatorKind &K);
 
 /// Full estimator configuration.
 struct EstimatorOptions {

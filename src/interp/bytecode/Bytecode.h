@@ -119,9 +119,6 @@ inline constexpr unsigned NumBcOps = 0
 #undef SEST_BC_OP_COUNT
     ;
 
-/// Opcode mnemonic ("ConstInt", ...).
-const char *bcOpName(BcOp Op);
-
 /// One instruction; 24 bytes, trivially copyable.
 struct BcInstr {
   BcOp K = BcOp::Halt;
@@ -186,9 +183,6 @@ struct BcModule {
 
   const BcChunk *chunkFor(const FunctionDecl *F) const;
 };
-
-/// Human-readable disassembly of one chunk (tests, docs, debugging).
-std::string disassemble(const BcChunk &C);
 
 } // namespace sest::bc
 

@@ -907,25 +907,3 @@ BcModule sest::bc::compileBytecode(const TranslationUnit &Unit,
                   static_cast<double>(M.NumInstrs));
   return M;
 }
-
-const char *sest::bc::bcOpName(BcOp Op) {
-  switch (Op) {
-#define SEST_BC_OP_NAME(Name)                                                \
-  case BcOp::Name:                                                           \
-    return #Name;
-    SEST_BC_OPS(SEST_BC_OP_NAME)
-#undef SEST_BC_OP_NAME
-  }
-  return "?";
-}
-
-std::string sest::bc::disassemble(const BcChunk &C) {
-  std::string Out;
-  for (size_t I = 0; I < C.Code.size(); ++I) {
-    const BcInstr &Ins = C.Code[I];
-    Out += std::to_string(I) + "\t" + bcOpName(Ins.K) + " A=" +
-           std::to_string(Ins.A) + " B=" + std::to_string(Ins.B) + " C=" +
-           std::to_string(Ins.C) + " X=" + std::to_string(Ins.X) + "\n";
-  }
-  return Out;
-}

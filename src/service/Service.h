@@ -33,9 +33,10 @@
 /// metrics answer reflects exactly the requests that preceded it in
 /// the stream, at every Jobs value.
 ///
-/// Cache tiers (each a ShardedCache, keyed by support::contentHash64
-/// over the source's digest + the options that influence the artifact;
-/// the source itself is hashed once, when its request is decoded):
+/// Cache tiers (each a ShardedCache, keyed by the request's interned
+/// source + the framed options that influence the artifact; the source
+/// is interned once, when its request is decoded, and a hit compares
+/// the whole key, never a digest alone):
 ///
 ///   ast       parsed+analyzed ASTs
 ///   cfg       CFGs + call graph (co-owns its AST entry)
@@ -89,14 +90,16 @@ struct ServiceOptions {
   unsigned CacheShards = 16;
 };
 
-/// The seven cache tiers of one service instance.
+/// The seven cache tiers of one service instance, and the tables their
+/// keys' sources and fields are interned in.
 struct CacheSet {
+  /// Declared first, so they outlive every key in the tiers.
+  InternTable Sources, Fields;
   ShardedCache Ast, Cfg, Branch, Solve, Plan, Native, Response;
 
   CacheSet(size_t BudgetBytes, unsigned Shards);
   /// Tier pointers in stable report order.
   std::vector<const ShardedCache *> all() const;
-  void clearAll();
 };
 
 /// A long-lived analysis service instance. One Service is driven from
@@ -130,11 +133,6 @@ public:
     return Shutdown.load(std::memory_order_relaxed);
   }
 
-  /// The live stats document (also served as the `stats` op): cache
-  /// tier counters plus the ambient telemetry report when a context is
-  /// installed on the calling thread.
-  std::string statsJson() const;
-
   /// The Prometheus text exposition (also served as the `metrics` op):
   /// the calling thread's ambient telemetry registry rendered via
   /// obs::renderPrometheus, plus the cache tiers' live atomic totals as
@@ -143,10 +141,6 @@ public:
   /// families that are byte-identical across Jobs values and cache
   /// states are emitted (see obs::deterministicSeriesName).
   std::string metricsExposition(bool DeterministicOnly) const;
-
-  /// Drops every cached artifact (for tests and benches; counters keep
-  /// counting).
-  void clearCache();
 
   const CacheSet &caches() const { return *Caches; }
   const ServiceOptions &options() const { return Opts; }

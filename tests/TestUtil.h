@@ -20,8 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+
+#include <link.h>
 
 namespace sest::test {
 
@@ -87,6 +90,20 @@ inline RunResult compileAndRun(const std::string &Source,
   if (!C)
     return {};
   return run(*C, InputText, Seed);
+}
+
+/// Shared objects the native tier has loaded and not yet unloaded (each
+/// is a lib.so under a /tmp/sest-native-* build directory).
+inline size_t loadedNativeObjects() {
+  size_t N = 0;
+  ::dl_iterate_phdr(
+      [](dl_phdr_info *Info, size_t, void *Count) {
+        if (Info->dlpi_name && std::strstr(Info->dlpi_name, "sest-native"))
+          ++*static_cast<size_t *>(Count);
+        return 0;
+      },
+      &N);
+  return N;
 }
 
 } // namespace sest::test

@@ -14,6 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
 #include "backend/Backend.h"
 #include "backend/CBackend.h"
 #include "backend/Native.h"
@@ -171,6 +173,30 @@ TEST(Backend, ArtifactsAreMemoizedBySourceHash) {
                                             Parts, &Err))
       << Err;
   EXPECT_EQ(A->compileShards(), obs::parallelWorkers(0, Parts.Groups.size()));
+}
+
+/// The memo holds artifacts weakly, plus the most recent one: an object
+/// that nothing else holds unloads once another compile takes its place.
+TEST(Backend, ArtifactUnloadsOnceNothingHoldsIt) {
+  std::string Why;
+  if (!backend::nativeEngineAvailable(&Why))
+    GTEST_SKIP() << "native tier unavailable: " << Why;
+  auto Compile = [](const std::string &Source) {
+    auto C = test::compile(Source);
+    bc::BcModule Bc = bc::compileBytecode(C->unit(), *C->Cfgs);
+    std::string Err;
+    auto A = backend::cBackend().compile(C->unit(), *C->Cfgs, Bc, {}, &Err);
+    EXPECT_NE(A, nullptr) << Err;
+    return A;
+  };
+  auto First = Compile("int main() { print_int(1); return 0; }");
+  const size_t Loaded = test::loadedNativeObjects();
+  auto Second = Compile("int main() { print_int(2); return 0; }");
+  EXPECT_EQ(test::loadedNativeObjects(), Loaded + 1);
+  First.reset(); // no longer the most recent: nothing holds it
+  EXPECT_EQ(test::loadedNativeObjects(), Loaded);
+  Second.reset(); // still the most recent
+  EXPECT_EQ(test::loadedNativeObjects(), Loaded);
 }
 
 /// A compile inside a parallelFor worker stays one unit: the pool

@@ -218,28 +218,10 @@ Options parseArgs(int argc, char **argv) {
         A == "--compare" || A == "--suite") {
       O.Action = A;
     } else if (A == "--intra") {
-      std::string V = Next();
-      if (V == "loop")
-        O.Est.Intra = IntraEstimatorKind::Loop;
-      else if (V == "smart")
-        O.Est.Intra = IntraEstimatorKind::Smart;
-      else if (V == "markov")
-        O.Est.Intra = IntraEstimatorKind::Markov;
-      else
+      if (!parseIntraEstimator(Next(), O.Est.Intra))
         usage();
     } else if (A == "--inter") {
-      std::string V = Next();
-      if (V == "call-site")
-        O.Est.Inter = InterEstimatorKind::CallSite;
-      else if (V == "direct")
-        O.Est.Inter = InterEstimatorKind::Direct;
-      else if (V == "all_rec")
-        O.Est.Inter = InterEstimatorKind::AllRec;
-      else if (V == "all_rec2")
-        O.Est.Inter = InterEstimatorKind::AllRec2;
-      else if (V == "markov")
-        O.Est.Inter = InterEstimatorKind::Markov;
-      else
+      if (!parseInterEstimator(Next(), O.Est.Inter))
         usage();
     } else if (A == "--loop-count") {
       O.Est.setLoopIterations(std::strtod(Next().c_str(), nullptr));
