@@ -14,9 +14,9 @@
 /// Two contracts distinguish this log from the trace:
 ///
 ///  1. *Determinism.* Events carry no wall-clock data (timestamps live
-///     only in the trace), and merges happen in task order, so the
-///     rendered JSONL (`sest-events/1`) is byte-identical across
-///     `--jobs` values and interpreter engines.
+///     only in the trace), and parallel tasks' events are appended in
+///     task order, so the rendered JSONL (`sest-events/1`) is
+///     byte-identical across `--jobs` values and interpreter engines.
 ///
 ///  2. *Provenance.* Every event names its subject with a stable ID
 ///     (`fn:<name>`, `blk:<function>#<block>`, `cs:<site>`) that
@@ -36,6 +36,7 @@
 #include "obs/Telemetry.h"
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -82,7 +83,8 @@ struct Event {
 
 /// A decision-log collection context. Install one, run the pipeline,
 /// then render jsonl(). Nested installs stack like Telemetry contexts,
-/// and per-task logs merge (append, in task order) into the ambient one.
+/// and the events of parallel tasks are appended to the ambient log in
+/// task order (takeFrom).
 class EventLog {
 public:
   EventLog() = default;
@@ -99,12 +101,15 @@ public:
 
   void emit(Event E) { Events_.push_back(std::move(E)); }
 
-  /// Appends everything \p Other recorded. Call in deterministic task
-  /// order so the stream stays byte-stable across --jobs values.
-  void mergeFrom(const EventLog &Other) {
-    Events_.insert(Events_.end(), Other.Events_.begin(),
-                   Other.Events_.end());
+  /// Moves events [Begin, End) of \p From to the end of this log.
+  /// obs::parallelFor takes each task's range of its worker's log, in
+  /// task order, so the stream stays byte-stable across --jobs values.
+  void takeFrom(EventLog &From, size_t Begin, size_t End) {
+    Events_.insert(Events_.end(),
+                   std::make_move_iterator(From.Events_.begin() + Begin),
+                   std::make_move_iterator(From.Events_.begin() + End));
   }
+  void clear() { Events_.clear(); }
 
   const std::vector<Event> &events() const { return Events_; }
 

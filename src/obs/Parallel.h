@@ -15,10 +15,11 @@
 ///    worker (a nested pool would oversubscribe the machine), or a call
 ///    made while another thread's call holds the workers. Serial tasks
 ///    run inline on the caller, in index order, straight into its
-///    ambient contexts: no thread, no TaskCapture, no allocation.
-///  - How observations merge: each parallel task records into private
-///    Telemetry and EventLog contexts on its worker's trace track
-///    (`worker-N`), merged into the caller's in index order, so they
+///    ambient contexts: no thread, no journal, no allocation.
+///  - How observations reach the caller: each worker records into its
+///    own Telemetry journal (on its trace track, `worker-N`) and its own
+///    EventLog, and a task's observations are the range it appended.
+///    The caller replays the ranges in index order, op by op, so they
 ///    match a serial run at every Jobs value.
 ///
 /// The workers persist: they start on first use, the pool grows to the
@@ -30,13 +31,8 @@
 #ifndef OBS_PARALLEL_H
 #define OBS_PARALLEL_H
 
-#include "obs/EventLog.h"
-#include "obs/Telemetry.h"
-
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 
 namespace sest::obs {
 
@@ -59,7 +55,7 @@ bool runParallel(unsigned Workers, size_t N,
 /// Runs Task(I) for every I in [0, N), then Fold(I) on the calling thread
 /// in index order; Fold returns whether task I's observations are kept.
 /// The parallel path finishes every task before the first fold and
-/// discards a dropped task's contexts. The serial path folds each task
+/// replays nothing of a dropped task. The serial path folds each task
 /// before the next starts but cannot take back what a task recorded, so
 /// a task that a fold may drop checks the folded state and returns early.
 /// A task's exception reaches the caller once no task is running; the
@@ -81,78 +77,6 @@ template <typename TaskFn>
 void parallelFor(unsigned Jobs, size_t N, TaskFn &&Task) {
   parallelFor(Jobs, N, Task, [](size_t) { return true; });
 }
-
-/// The per-task context plumbing of parallelFor's parallel path:
-/// captures the ambient Telemetry and EventLog once on the calling
-/// thread, runs each task under private contexts, and merges those back
-/// on the calling thread.
-class TaskCapture {
-public:
-  TaskCapture()
-      : AmbientT(Telemetry::active()), AmbientE(EventLog::active()) {}
-
-  /// Whether any ambient context wants task-level capture at all.
-  bool wanted() const { return AmbientT || AmbientE; }
-
-  /// The private contexts of one task, merged later via merge().
-  struct Slot {
-    std::unique_ptr<Telemetry> T;
-    std::unique_ptr<EventLog> E;
-  };
-
-  /// Runs \p F under private contexts stored into \p S, its telemetry
-  /// on trace track \p Track and keeping spans only if the ambient
-  /// telemetry does. With no ambient context \p F runs bare. A context
-  /// the task recorded nothing into stays with this thread for its next
-  /// task instead (merging it would change nothing), so tasks that
-  /// record nothing allocate nothing.
-  template <typename Fn> void run(Slot &S, uint32_t Track, Fn &&F) const {
-    Slot &Spare = spareContexts();
-    if (AmbientT) {
-      S.T = Spare.T ? std::move(Spare.T) : std::make_unique<Telemetry>();
-      S.T->setTrack(Track);
-      S.T->setKeepSpans(AmbientT->keepsSpans());
-      S.T->install();
-    }
-    if (AmbientE) {
-      S.E = Spare.E ? std::move(Spare.E) : std::make_unique<EventLog>();
-      S.E->install();
-    }
-    // Uninstalls also when F throws: the thread outlives the task.
-    struct Restore {
-      Slot &S, &Spare;
-      ~Restore() {
-        if (S.E) {
-          S.E->uninstall();
-          if (S.E->events().empty())
-            Spare.E = std::move(S.E);
-        }
-        if (S.T) {
-          S.T->uninstall();
-          if (S.T->empty())
-            Spare.T = std::move(S.T);
-        }
-      }
-    } Guard{S, Spare};
-    F();
-  }
-
-  /// Folds one task's contexts into the ambient ones. Call from the
-  /// capturing thread, in task order.
-  void merge(Slot &S) const {
-    if (AmbientT && S.T)
-      AmbientT->mergeFrom(*S.T);
-    if (AmbientE && S.E)
-      AmbientE->mergeFrom(*S.E);
-  }
-
-private:
-  /// This thread's contexts left over from tasks that recorded nothing.
-  static Slot &spareContexts();
-
-  Telemetry *AmbientT;
-  EventLog *AmbientE;
-};
 
 } // namespace sest::obs
 

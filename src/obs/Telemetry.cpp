@@ -96,11 +96,11 @@ void Telemetry::uninstall() {
   Installed = false;
 }
 
-uint64_t Telemetry::nowUs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Epoch)
-          .count());
+uint64_t Telemetry::usSince(Clock::time_point T) const {
+  int64_t Us =
+      std::chrono::duration_cast<std::chrono::microseconds>(T - Epoch)
+          .count();
+  return Us > 0 ? static_cast<uint64_t>(Us) : 0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -108,6 +108,8 @@ uint64_t Telemetry::nowUs() const {
 //===----------------------------------------------------------------------===//
 
 void Telemetry::add(std::string_view Name, double Delta) {
+  if (Journaling)
+    return journal(JournalOp::Add, Name, Delta);
   auto It = Counters.find(Name);
   if (It == Counters.end())
     Counters.emplace(std::string(Name), Delta);
@@ -116,6 +118,8 @@ void Telemetry::add(std::string_view Name, double Delta) {
 }
 
 void Telemetry::raiseMax(std::string_view Name, double Value) {
+  if (Journaling)
+    return journal(JournalOp::Max, Name, Value);
   auto It = Gauges.find(Name);
   if (It == Gauges.end())
     Gauges.emplace(std::string(Name), Value);
@@ -124,6 +128,8 @@ void Telemetry::raiseMax(std::string_view Name, double Value) {
 }
 
 void Telemetry::record(std::string_view Name, double Sample) {
+  if (Journaling)
+    return journal(JournalOp::Record, Name, Sample);
   auto It = Histograms.find(Name);
   if (It == Histograms.end()) {
     HistogramStats H;
@@ -142,6 +148,22 @@ void Telemetry::record(std::string_view Name, double Sample) {
 }
 
 void Telemetry::beginPhase(std::string_view Name, std::string_view Detail) {
+  const Clock::time_point Now = Clock::now();
+  if (Journaling)
+    return journal(JournalOp::Begin, Name, 0.0, Now,
+                   KeepSpans ? Detail : std::string_view());
+  openPhase(Name, Detail, usSince(Now));
+}
+
+void Telemetry::endPhase() {
+  const Clock::time_point Now = Clock::now();
+  if (Journaling)
+    return journal(JournalOp::End, {}, 0.0, Now);
+  closePhase(usSince(Now), Track);
+}
+
+void Telemetry::openPhase(std::string_view Name, std::string_view Detail,
+                          uint64_t StartUs) {
   PhaseNode *Parent = Open.empty() ? &Root : Open.back().Node;
   PhaseNode *Node = nullptr;
   for (const auto &C : Parent->Children)
@@ -156,16 +178,16 @@ void Telemetry::beginPhase(std::string_view Name, std::string_view Detail) {
   }
   // The detail only labels the span.
   Open.push_back(
-      {Node, KeepSpans ? std::string(Detail) : std::string(), nowUs()});
+      {Node, KeepSpans ? std::string(Detail) : std::string(), StartUs});
 }
 
-void Telemetry::endPhase() {
+void Telemetry::closePhase(uint64_t EndUs, uint32_t SpanTrack) {
   assert(!Open.empty() && "endPhase() without beginPhase()");
   if (Open.empty())
     return;
   OpenPhase P = std::move(Open.back());
   Open.pop_back();
-  uint64_t Dur = nowUs() - P.StartUs;
+  uint64_t Dur = EndUs - P.StartUs;
   P.Node->Count += 1;
   P.Node->TotalUs += Dur;
   if (!Open.empty())
@@ -181,87 +203,47 @@ void Telemetry::endPhase() {
   E.StartUs = P.StartUs;
   E.DurUs = Dur;
   E.Depth = static_cast<unsigned>(Open.size());
-  E.Track = Track;
+  E.Track = SpanTrack;
   Events.push_back(std::move(E));
 }
 
-namespace {
-
-/// Merges \p From into \p Into: same-name children unify (first-seen
-/// order preserved), everything else is appended.
-void mergePhaseChildren(const PhaseNode &From, PhaseNode &Into) {
-  for (const auto &FC : From.Children) {
-    PhaseNode *Node = nullptr;
-    for (const auto &C : Into.Children)
-      if (C->Name == FC->Name) {
-        Node = C.get();
-        break;
-      }
-    if (!Node) {
-      Into.Children.push_back(std::make_unique<PhaseNode>());
-      Node = Into.Children.back().get();
-      Node->Name = FC->Name;
-    }
-    Node->Count += FC->Count;
-    Node->TotalUs += FC->TotalUs;
-    Node->ChildUs += FC->ChildUs;
-    mergePhaseChildren(*FC, *Node);
-  }
+void Telemetry::journal(JournalOp::KindT Kind, std::string_view Name,
+                        double Value, Clock::time_point At,
+                        std::string_view Detail) {
+  Ops.push_back({Kind, Name.size(), Detail.size(), OpText.size(), Value, At});
+  OpText.append(Name).append(Detail);
 }
 
-} // namespace
-
-void Telemetry::mergeFrom(const Telemetry &Other) {
-  assert(Other.Open.empty() && "merging a context with open phases");
-
-  for (const auto &[Name, Value] : Other.Counters)
-    add(Name, Value);
-  for (const auto &[Name, Value] : Other.Gauges)
-    raiseMax(Name, Value);
-  for (const auto &[Name, H] : Other.Histograms) {
-    auto It = Histograms.find(Name);
-    if (It == Histograms.end()) {
-      Histograms.emplace(Name, H);
-      continue;
-    }
-    HistogramStats &D = It->second;
-    D.Count += H.Count;
-    D.Sum += H.Sum;
-    D.Min = std::min(D.Min, H.Min);
-    D.Max = std::max(D.Max, H.Max);
-    for (const auto &[Index, N] : H.Buckets)
-      D.Buckets[Index] += N;
-  }
-  // Graft the phase tree under the innermost open phase so merged work
-  // nests where the merge happens (e.g. per-run contexts under
-  // "suite.run"). The grafted top-level time is child time of that
-  // phase.
-  PhaseNode &Parent = Open.empty() ? Root : *Open.back().Node;
-  Parent.ChildUs += Other.Root.ChildUs;
-  mergePhaseChildren(Other.Root, Parent);
-
-  if (!KeepSpans)
-    return;
-  // Replay events on this context's clock. Both epochs come from the
-  // same steady clock, so the offset lines spans up where they really
-  // ran; clamp in case Other predates this context.
-  int64_t EpochDelta = std::chrono::duration_cast<std::chrono::microseconds>(
-                           Other.Epoch - Epoch)
-                           .count();
-  unsigned BaseDepth = static_cast<unsigned>(Open.size());
-  Events.reserve(Events.size() + Other.Events.size());
-  for (const TraceEvent &E : Other.Events) {
-    TraceEvent Copy = E;
-    int64_t Start = static_cast<int64_t>(E.StartUs) + EpochDelta;
-    Copy.StartUs = Start > 0 ? static_cast<uint64_t>(Start) : 0;
-    Copy.Depth = E.Depth + BaseDepth;
-    Events.push_back(std::move(Copy));
-  }
+void Telemetry::clearJournal() {
+  Ops.clear();
+  OpText.clear();
 }
 
-bool Telemetry::empty() const {
-  return Counters.empty() && Gauges.empty() && Histograms.empty() &&
-         Events.empty() && Root.Children.empty() && Root.ChildUs == 0;
+void Telemetry::replay(const Telemetry &J, size_t Begin, size_t End) {
+  assert(!Journaling && "replaying into a journal");
+  for (size_t I = Begin; I < End; ++I) {
+    const JournalOp &Op = J.Ops[I];
+    std::string_view Name(J.OpText.data() + Op.TextOff, Op.NameLen);
+    switch (Op.Kind) {
+    case JournalOp::Add:
+      add(Name, Op.Value);
+      break;
+    case JournalOp::Max:
+      raiseMax(Name, Op.Value);
+      break;
+    case JournalOp::Record:
+      record(Name, Op.Value);
+      break;
+    case JournalOp::Begin:
+      openPhase(Name,
+                std::string_view(Name.data() + Op.NameLen, Op.DetailLen),
+                usSince(Op.At));
+      break;
+    case JournalOp::End:
+      closePhase(usSince(Op.At), J.Track);
+      break;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -321,7 +303,7 @@ std::string Telemetry::traceJson() const {
 
   // Final counter samples, so the numeric registry rides along in the
   // same file ("C" = counter event).
-  uint64_t End = Events.empty() ? 0 : nowUs();
+  uint64_t End = Events.empty() ? 0 : usSince(Clock::now());
   auto emitCounter = [&](const std::string &Name, double Value) {
     W.beginObject()
         .member("name", Name)

@@ -65,9 +65,8 @@ extern thread_local constinit Telemetry *Active;
 /// Alongside count/sum/min/max the histogram keeps a sparse log-scale
 /// bucket map (8 sub-buckets per octave, exact bucketing via frexp) so
 /// percentiles can be estimated without retaining samples. Bucketing is
-/// fully deterministic, and bucket maps merge additively, so percentile
-/// estimates are identical no matter how samples were partitioned across
-/// merged contexts.
+/// fully deterministic, so percentile estimates depend only on the
+/// samples, not on which worker recorded them.
 struct HistogramStats {
   uint64_t Count = 0;
   double Sum = 0.0;
@@ -136,17 +135,17 @@ public:
   static Telemetry *active() { return detail::Active; }
 
   /// Assigns every span this context records to trace track \p Id
-  /// (0 = the main track). obs::parallelFor's per-task contexts use
-  /// their worker's 1-based track, so merged traces keep one timeline
-  /// per worker; trace viewers show track N as `worker-N`.
+  /// (0 = the main track). obs::parallelFor's worker journals use their
+  /// worker's 1-based track, so replayed traces keep one timeline per
+  /// worker; trace viewers show track N as `worker-N`.
   void setTrack(uint32_t Id) { Track = Id; }
   uint32_t track() const { return Track; }
 
   /// Whether completed phases are also kept as trace spans (events()).
   /// On by default. A long-running process that renders no trace turns
   /// it off, so its memory stays flat while the phase tree, counters,
-  /// gauges and histograms keep recording; mergeFrom() then drops the
-  /// other context's spans too.
+  /// gauges and histograms keep recording; replay() then drops the
+  /// journal's spans too, and a journal keeps no phase details.
   void setKeepSpans(bool Keep) { KeepSpans = Keep; }
   bool keepsSpans() const { return KeepSpans; }
 
@@ -166,14 +165,20 @@ public:
   void beginPhase(std::string_view Name, std::string_view Detail = {});
   void endPhase();
 
-  /// Folds everything \p Other collected into this context: counters
-  /// sum, gauges take the max, histograms combine, \p Other's phase
-  /// tree is grafted under the innermost currently-open phase (nodes
-  /// with the same name merge, preserving first-seen order), and its
-  /// trace events are appended with timestamps remapped onto this
-  /// context's epoch. \p Other must have no open phases. obs::parallelFor
-  /// merges its per-task contexts with it, in task order.
-  void mergeFrom(const Telemetry &Other);
+  /// Journal mode (obs::parallelFor's workers): each recording call
+  /// above only appends an op (kind, name, value or detail, and a
+  /// phase's time) to a flat list, and a task's observations are the
+  /// ops it appended. clearJournal() keeps the list's capacity.
+  void setJournaling(bool On) { Journaling = On; }
+  size_t journalSize() const { return Ops.size(); }
+  void clearJournal();
+
+  /// Applies ops [Begin, End) of journal \p J through the code the
+  /// recording methods run, so the result is what recording them here
+  /// gives: phases nest under the innermost open phase, spans keep
+  /// \p J's track, and sums add one sample at a time. The range must
+  /// close every phase it opens.
+  void replay(const Telemetry &J, size_t Begin, size_t End);
 
   //===--------------------------------------------------------------------===//
   // Inspection
@@ -191,9 +196,6 @@ public:
   }
   const std::vector<TraceEvent> &events() const { return Events; }
   const PhaseNode &phaseTree() const { return Root; }
-  /// True when nothing has been recorded: merging this context into
-  /// another would change nothing.
-  bool empty() const;
   /// Depth of currently open (unclosed) phases.
   unsigned openPhaseDepth() const { return static_cast<unsigned>(Open.size()); }
 
@@ -216,7 +218,13 @@ public:
   void writeReport(JsonWriter &W) const;
 
 private:
-  uint64_t nowUs() const;
+  using Clock = std::chrono::steady_clock;
+
+  /// Microseconds from this context's epoch to \p T (0 if before it).
+  uint64_t usSince(Clock::time_point T) const;
+  void openPhase(std::string_view Name, std::string_view Detail,
+                 uint64_t StartUs);
+  void closePhase(uint64_t EndUs, uint32_t SpanTrack);
 
   struct OpenPhase {
     PhaseNode *Node;
@@ -224,7 +232,18 @@ private:
     uint64_t StartUs;
   };
 
-  std::chrono::steady_clock::time_point Epoch;
+  /// One recording call in journal mode. Name and detail are stored
+  /// back to back in OpText, from TextOff.
+  struct JournalOp {
+    enum KindT : uint8_t { Add, Max, Record, Begin, End } Kind;
+    size_t NameLen, DetailLen, TextOff;
+    double Value;         ///< Add, Max and Record.
+    Clock::time_point At; ///< Begin and End.
+  };
+  void journal(JournalOp::KindT Kind, std::string_view Name, double Value,
+               Clock::time_point At = {}, std::string_view Detail = {});
+
+  Clock::time_point Epoch;
   uint32_t Track = 0;
   std::map<std::string, double, std::less<>> Counters;
   std::map<std::string, double, std::less<>> Gauges;
@@ -232,9 +251,12 @@ private:
   std::vector<TraceEvent> Events;
   PhaseNode Root;
   std::vector<OpenPhase> Open;
+  std::vector<JournalOp> Ops;
+  std::string OpText;
   Telemetry *Previous = nullptr;
   bool Installed = false;
   bool KeepSpans = true;
+  bool Journaling = false;
 };
 
 //===----------------------------------------------------------------------===//

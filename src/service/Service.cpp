@@ -350,8 +350,14 @@ Request parseRequest(const std::string &Line, InternTable &Sources) {
 // with real footprint so the LRU budget means something, not that they
 // match malloc to the byte.
 
+size_t astArtifactBytes(const AstArtifact &A) {
+  return sizeof(AstArtifact) + A.Ctx.arenaBytes() + A.DiagText.size();
+}
+
+/// A cfg entry keeps its AST alive, so it pays for it too, as every
+/// tier pays for the source its key holds.
 size_t cfgArtifactBytes(const CfgArtifact &A) {
-  size_t Bytes = sizeof(CfgArtifact);
+  size_t Bytes = sizeof(CfgArtifact) + astArtifactBytes(*A.Ast);
   for (const auto &[F, G] : A.Cfgs.all()) {
     (void)F;
     Bytes += 64 + G->size() * 96;
@@ -432,8 +438,7 @@ std::shared_ptr<const AstArtifact> getOrBuildAst(CacheSet &Caches,
     A->Ok = parseAndAnalyze(R.Src->Bytes, A->Ctx, Diags);
     A->DiagText = Diags.str();
   }
-  size_t Bytes =
-      sizeof(AstArtifact) + A->Ctx.arenaBytes() + A->DiagText.size();
+  size_t Bytes = astArtifactBytes(*A);
   logCacheEvent(R, "ast", false, Bytes);
   putCharged(Caches, Caches.Ast, R, std::move(Fields), A, Bytes);
   return A;

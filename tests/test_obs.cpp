@@ -22,8 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <latch>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -365,11 +368,24 @@ TEST(Telemetry, SuccessfulRunReportsUsageWithoutLimit) {
 }
 
 //===----------------------------------------------------------------------===//
-// mergeFrom edge cases
+// Journal replay edge cases
 //===----------------------------------------------------------------------===//
 
+/// A context in journal mode, as obs::parallelFor keeps one per worker.
+struct Journal : obs::Telemetry {
+  explicit Journal(uint32_t Track = 0) {
+    setTrack(Track);
+    setJournaling(true);
+  }
+  /// Replays every op into \p Dst.
+  void replayInto(obs::Telemetry &Dst) const {
+    Dst.replay(*this, 0, journalSize());
+  }
+};
+
 TEST(Telemetry, MergeFromDisjointHistogramKeys) {
-  obs::Telemetry A, B;
+  obs::Telemetry A;
+  Journal B;
   A.install();
   obs::histRecord("only.a", 2.0);
   obs::histRecord("shared", 1.0);
@@ -380,9 +396,9 @@ TEST(Telemetry, MergeFromDisjointHistogramKeys) {
   obs::histRecord("shared", 3.0);
   B.uninstall();
 
-  A.mergeFrom(B);
+  B.replayInto(A);
 
-  // A key only the source had is copied over wholesale...
+  // A key only the journal had is created from its samples...
   const obs::HistogramStats &OnlyB = A.histograms().at("only.b");
   EXPECT_EQ(OnlyB.Count, 1u);
   EXPECT_EQ(OnlyB.Sum, 8.0);
@@ -398,21 +414,23 @@ TEST(Telemetry, MergeFromDisjointHistogramKeys) {
   EXPECT_EQ(Shared.Sum, 9.0);
   EXPECT_EQ(Shared.Min, 1.0);
   EXPECT_EQ(Shared.Max, 5.0);
-  // The source context is not consumed by the merge.
-  EXPECT_EQ(B.histograms().at("shared").Count, 2u);
+  // The journal recorded ops, not histograms, and the replay does not
+  // consume them.
+  EXPECT_TRUE(B.histograms().empty());
+  EXPECT_EQ(B.journalSize(), 3u);
 }
 
 TEST(Telemetry, MergeFromGraftsUnderActivePhaseStack) {
-  // Merging while phases are open must graft the source's phase tree
-  // under the innermost open phase (the suite runner merges per-run
-  // contexts from inside "suite.run"), and replayed events must be
-  // re-based to the open depth.
-  obs::Telemetry Src;
+  // Replaying a journal while phases are open must nest its phases
+  // under the innermost open phase (the suite runner replays its tasks
+  // from inside "suite.run"), and replayed events must be re-based to
+  // the open depth.
+  Journal Src;
   Src.install();
   { obs::ScopedPhase P("worker.run"); }
   Src.uninstall();
-  ASSERT_EQ(Src.events().size(), 1u);
-  EXPECT_EQ(Src.events()[0].Depth, 0u);
+  EXPECT_TRUE(Src.events().empty());
+  EXPECT_EQ(Src.journalSize(), 2u); // begin and end
 
   obs::Telemetry Dst;
   Dst.install();
@@ -421,7 +439,7 @@ TEST(Telemetry, MergeFromGraftsUnderActivePhaseStack) {
     {
       obs::ScopedPhase Inner("suite.run");
       EXPECT_EQ(Dst.openPhaseDepth(), 2u);
-      Dst.mergeFrom(Src);
+      Src.replayInto(Dst);
     }
   }
   Dst.uninstall();
@@ -473,11 +491,19 @@ TEST(Telemetry, TripleNestedInstallOrdering) {
   EXPECT_EQ(B.counters().at("depth"), 20.0);
   EXPECT_EQ(C.counters().at("depth"), 100.0);
 
-  // Folding inner contexts outward (the parallel-runner pattern) pools
-  // everything into the outermost context.
-  B.mergeFrom(C);
-  A.mergeFrom(B);
-  EXPECT_EQ(A.counters().at("depth"), 122.0);
+  // A journal installed innermost (the parallel-runner pattern) takes
+  // the recording calls, and replaying it pools them outward.
+  Journal J;
+  B.install();
+  J.install();
+  obs::counterAdd("depth", 100.0);
+  EXPECT_EQ(obs::Telemetry::active(), &J);
+  J.uninstall();
+  EXPECT_EQ(obs::Telemetry::active(), &B);
+  B.uninstall();
+  J.replayInto(B);
+  EXPECT_EQ(B.counters().at("depth"), 120.0);
+  EXPECT_TRUE(J.counters().empty());
 }
 
 //===----------------------------------------------------------------------===//
@@ -536,10 +562,11 @@ TEST(Telemetry, HistogramPercentileDegenerateCases) {
 }
 
 TEST(Telemetry, HistogramPercentilesMergeAdditively) {
-  // Percentiles of merged halves must match the combined distribution:
-  // the bucket maps are additive, so partitioning the samples across
+  // Percentiles after replaying half the samples from a journal must
+  // match the combined distribution, so partitioning the samples across
   // workers (the parallel suite) cannot move the percentile estimates.
-  obs::Telemetry Combined, A, B;
+  obs::Telemetry Combined, A;
+  Journal B;
   Combined.install();
   for (int I = 1; I <= 100; ++I)
     obs::histRecord("h", static_cast<double>(I));
@@ -553,10 +580,11 @@ TEST(Telemetry, HistogramPercentilesMergeAdditively) {
     obs::histRecord("h", static_cast<double>(I));
   B.uninstall();
 
-  A.mergeFrom(B);
+  B.replayInto(A);
   const obs::HistogramStats &Whole = Combined.histograms().at("h");
   const obs::HistogramStats &Merged = A.histograms().at("h");
   EXPECT_EQ(Merged.Count, Whole.Count);
+  EXPECT_EQ(Merged.Sum, Whole.Sum);
   EXPECT_EQ(Merged.p50(), Whole.p50());
   EXPECT_EQ(Merged.p90(), Whole.p90());
   EXPECT_EQ(Merged.p99(), Whole.p99());
@@ -590,18 +618,18 @@ TEST(Telemetry, StatsTableAndReportCarryPercentiles) {
 //===----------------------------------------------------------------------===//
 
 TEST(Telemetry, TraceJsonEmitsPerTrackThreads) {
-  // A worker context tagged with a track renders its spans on a
+  // A worker journal tagged with a track replays its spans onto a
   // distinct tid (track + 1) with a thread_name metadata record, so the
   // trace viewer shows real per-worker timelines.
-  obs::Telemetry Main, Worker;
-  Worker.setTrack(2);
+  obs::Telemetry Main;
+  Journal Worker(2);
   Worker.install();
   { obs::ScopedPhase P("task.on.worker"); }
   Worker.uninstall();
   Main.install();
   { obs::ScopedPhase P("task.on.main"); }
   Main.uninstall();
-  Main.mergeFrom(Worker);
+  Worker.replayInto(Main);
 
   auto V = parseJson(Main.traceJson());
   ASSERT_TRUE(V.has_value()) << Main.traceJson();
@@ -626,14 +654,14 @@ TEST(Telemetry, TraceJsonEmitsPerTrackThreads) {
 }
 
 TEST(Telemetry, MergePreservesEventTracksAndNames) {
-  obs::Telemetry Dst, Src;
-  Src.setTrack(5);
+  obs::Telemetry Dst;
+  Journal Src(5);
   Src.install();
-  { obs::ScopedPhase P("remote"); }
+  { obs::ScopedPhase P("remote", "detail"); }
   Src.uninstall();
 
   Dst.install();
-  Dst.mergeFrom(Src);
+  Src.replayInto(Dst);
   Dst.uninstall();
 
   bool Found = false;
@@ -641,9 +669,10 @@ TEST(Telemetry, MergePreservesEventTracksAndNames) {
     if (E.Name == "remote") {
       Found = true;
       EXPECT_EQ(E.Track, 5u);
+      EXPECT_EQ(E.Detail, "detail");
     }
   EXPECT_TRUE(Found);
-  // A track's label follows from its number, so it survives the merge.
+  // A track's label follows from its number, so it survives the replay.
   EXPECT_NE(Dst.traceJson().find("\"worker-5\""), std::string::npos);
   // The destination itself still records on the main track.
   EXPECT_EQ(Dst.track(), 0u);
@@ -669,19 +698,19 @@ TEST(Telemetry, SpansOffKeepsPhasesAndCountersButNoEvents) {
     obs::counterAdd("c");
     obs::histRecord("h", 3.0);
   }
-  // A context that kept its spans merges its tree and registry, but
+  // A journal that kept its spans replays its phases and registry, but
   // not its spans.
-  obs::Telemetry Task;
+  Journal Task;
   Task.install();
-  { obs::ScopedPhase P("task"); }
+  { obs::ScopedPhase P("task", "a detail"); }
   obs::counterAdd("c");
   Task.uninstall();
-  Tele.mergeFrom(Task);
+  Task.replayInto(Tele);
   Tele.uninstall();
 
   EXPECT_FALSE(Tele.keepsSpans());
   EXPECT_TRUE(Tele.events().empty());
-  EXPECT_EQ(Task.events().size(), 1u);
+  EXPECT_EQ(Task.journalSize(), 3u);
   EXPECT_EQ(Tele.counters().at("c"), 2.0);
   EXPECT_EQ(Tele.histograms().at("h").Count, 1u);
   const obs::PhaseNode &Root = Tele.phaseTree();
@@ -691,8 +720,7 @@ TEST(Telemetry, SpansOffKeepsPhasesAndCountersButNoEvents) {
   ASSERT_EQ(Root.Children[0]->Children.size(), 1u);
   EXPECT_EQ(Root.Children[0]->Children[0]->Name, "inner");
   EXPECT_EQ(Root.Children[1]->Name, "task");
-  EXPECT_FALSE(Tele.empty());
-  EXPECT_TRUE(obs::Telemetry().empty());
+  EXPECT_EQ(Root.Children[1]->Count, 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -744,15 +772,28 @@ TEST(EventLog, MergeAppendsInCallOrder) {
   obs::logEvent("zeroth", obs::provFunction("z"));
   Dst.uninstall();
 
-  // Task-order merges define the deterministic stream order.
-  Dst.mergeFrom(T1);
-  Dst.mergeFrom(T2);
+  // Task-order appends define the deterministic stream order.
+  Dst.takeFrom(T1, 0, 1);
+  Dst.takeFrom(T2, 0, 1);
   ASSERT_EQ(Dst.events().size(), 3u);
   EXPECT_EQ(Dst.events()[0].Kind, "zeroth");
   EXPECT_EQ(Dst.events()[1].Kind, "first");
   EXPECT_EQ(Dst.events()[2].Kind, "second");
-  // Sources are not consumed.
+  // A source keeps its length, so the ranges of its other tasks stay
+  // where they were.
   EXPECT_EQ(T1.events().size(), 1u);
+
+  // Ranges of one worker's log can be taken in any order.
+  obs::EventLog Worker, Caller;
+  Worker.install();
+  obs::logEvent("task.1", obs::provFunction("b"));
+  obs::logEvent("task.0", obs::provFunction("a"));
+  Worker.uninstall();
+  Caller.takeFrom(Worker, 1, 2);
+  Caller.takeFrom(Worker, 0, 1);
+  ASSERT_EQ(Caller.events().size(), 2u);
+  EXPECT_EQ(Caller.events()[0].Kind, "task.0");
+  EXPECT_EQ(Caller.events()[1].Kind, "task.1");
 }
 
 TEST(EventLog, JsonlHeaderAndRecordsParse) {
@@ -801,32 +842,25 @@ TEST(EventLog, JsonlHeaderAndRecordsParse) {
 }
 
 TEST(EventLog, TaskCaptureRunsAndMergesPrivateContexts) {
+  // Each parallel task records into its worker's journal and log, on
+  // the worker's track; nothing reaches the ambient contexts until the
+  // caller replays the tasks, in task order.
   obs::Telemetry Tele;
   obs::EventLog Log;
   Tele.install();
   Log.install();
-
-  obs::TaskCapture Cap;
-  EXPECT_TRUE(Cap.wanted());
-  obs::TaskCapture::Slot S1, S2;
-  // Simulate two worker tasks (run here serially; the capture contract
-  // is about context routing, not threads).
-  Cap.run(S1, 1, [] {
-    obs::ScopedPhase P("task.a");
+  std::latch BothStarted(2); // so each of the two workers runs one task
+  obs::parallelFor(2, 2, [&](size_t I) {
+    BothStarted.arrive_and_wait();
+    EXPECT_NE(obs::Telemetry::active(), &Tele);
+    EXPECT_NE(obs::EventLog::active(), &Log);
+    obs::ScopedPhase P(I == 0 ? "task.a" : "task.b");
     obs::counterAdd("task.count");
-    obs::logEvent("decision.a", obs::provFunction("fa"));
+    obs::logEvent(I == 0 ? "decision.a" : "decision.b",
+                  obs::provFunction(I == 0 ? "fa" : "fb"));
+    EXPECT_TRUE(Log.events().empty());
+    EXPECT_EQ(Tele.counters().count("task.count"), 0u);
   });
-  Cap.run(S2, 2, [] {
-    obs::ScopedPhase P("task.b");
-    obs::counterAdd("task.count");
-    obs::logEvent("decision.b", obs::provFunction("fb"));
-  });
-  // Nothing reaches the ambient contexts until merge.
-  EXPECT_TRUE(Log.events().empty());
-  EXPECT_EQ(Tele.counters().count("task.count"), 0u);
-
-  Cap.merge(S1);
-  Cap.merge(S2);
   Log.uninstall();
   Tele.uninstall();
 
@@ -834,57 +868,61 @@ TEST(EventLog, TaskCaptureRunsAndMergesPrivateContexts) {
   ASSERT_EQ(Log.events().size(), 2u);
   EXPECT_EQ(Log.events()[0].Kind, "decision.a");
   EXPECT_EQ(Log.events()[1].Kind, "decision.b");
-  // Task spans landed on their worker tracks, which the trace names.
+  // Task spans landed on their workers' tracks, which the trace names.
   std::map<std::string, uint32_t> Tracks;
   for (const obs::TraceEvent &E : Tele.events())
     Tracks[E.Name] = E.Track;
-  EXPECT_EQ(Tracks.at("task.a"), 1u);
-  EXPECT_EQ(Tracks.at("task.b"), 2u);
+  ASSERT_EQ(Tracks.size(), 2u);
+  EXPECT_EQ((std::set<uint32_t>{Tracks.at("task.a"), Tracks.at("task.b")}),
+            (std::set<uint32_t>{1, 2}));
   const std::string Trace = Tele.traceJson();
   EXPECT_NE(Trace.find("\"worker-1\""), std::string::npos);
   EXPECT_NE(Trace.find("\"worker-2\""), std::string::npos);
 }
 
 TEST(EventLog, TaskCaptureKeepsNothingForTasksThatRecordNothing) {
+  // Quiet tasks append nothing to their worker's journal and log, so
+  // nothing of theirs is replayed; busy tasks follow the ambient span
+  // setting.
   obs::Telemetry Tele;
   obs::EventLog Log;
   Tele.setKeepSpans(false);
   Tele.install();
   Log.install();
-  obs::TaskCapture Cap;
-  obs::TaskCapture::Slot Quiet, Busy;
-  Cap.run(Quiet, 1, [] {});
-  Cap.run(Busy, 1, [] {
-    obs::ScopedPhase P("task");
+  obs::parallelFor(2, 4, [](size_t I) {
+    if (I % 2 == 0)
+      return;
+    obs::ScopedPhase P("task", "a detail the spans-off journal drops");
     obs::logEvent("decision", obs::provFunction("f"));
   });
-  // The quiet task's contexts stayed with the thread; the busy task got
-  // them and follows the ambient span setting.
-  EXPECT_EQ(Quiet.T, nullptr);
-  EXPECT_EQ(Quiet.E, nullptr);
-  ASSERT_NE(Busy.T, nullptr);
-  ASSERT_NE(Busy.E, nullptr);
-  EXPECT_FALSE(Busy.T->keepsSpans());
-  Cap.merge(Quiet);
-  Cap.merge(Busy);
   Log.uninstall();
   Tele.uninstall();
-  EXPECT_EQ(Tele.phaseTree().Children.size(), 1u);
-  EXPECT_EQ(Log.events().size(), 1u);
+  EXPECT_TRUE(Tele.events().empty());
+  EXPECT_TRUE(Tele.counters().empty());
+  ASSERT_EQ(Tele.phaseTree().Children.size(), 1u);
+  EXPECT_EQ(Tele.phaseTree().Children[0]->Count, 2u);
+  EXPECT_EQ(Log.events().size(), 2u);
+
+  // A journal that keeps no spans keeps no phase details either.
+  Journal J;
+  J.setKeepSpans(false);
+  J.install();
+  { obs::ScopedPhase P("task", "dropped"); }
+  J.uninstall();
+  obs::Telemetry Spans;
+  J.replayInto(Spans);
+  ASSERT_EQ(Spans.events().size(), 1u);
+  EXPECT_EQ(Spans.events()[0].Detail, "");
 }
 
 TEST(EventLog, TaskCaptureSkipsContextsWhenNothingAmbient) {
-  // With no ambient telemetry or log, tasks run bare: no private
-  // contexts are allocated, so parallelism stays observation-free.
-  obs::TaskCapture Cap;
-  EXPECT_FALSE(Cap.wanted());
-  obs::TaskCapture::Slot S;
-  bool Ran = false;
-  Cap.run(S, 1, [&] { Ran = true; });
-  EXPECT_TRUE(Ran);
-  EXPECT_EQ(S.T, nullptr);
-  EXPECT_EQ(S.E, nullptr);
-  Cap.merge(S); // must be a no-op, not a crash
+  // With no ambient telemetry or log, tasks run bare: no journal or
+  // worker log is installed, so parallelism stays observation-free.
+  std::vector<int> Bare(6, 0);
+  obs::parallelFor(3, Bare.size(), [&](size_t I) {
+    Bare[I] = !obs::telemetryActive() && !obs::eventLogActive();
+  });
+  EXPECT_EQ(Bare, std::vector<int>(6, 1));
 }
 
 //===----------------------------------------------------------------------===//
@@ -902,6 +940,11 @@ TEST(Parallel, WorkerCountFollowsJobsAndTaskCount) {
 
 TEST(Parallel, ResultsAndObservationsMergeInIndexOrder) {
   constexpr size_t N = 8;
+  // Task 0 records 1.0 and every other task two samples of 2^-53. Added
+  // one at a time, as a serial run adds them, each 2^-53 rounds away;
+  // a task's two samples added up first would not.
+  const double Tiny = std::ldexp(1.0, -53);
+  std::vector<double> TinyHistSums, TinyCounters;
   for (unsigned Jobs : {1u, 3u, 0u}) {
     obs::Telemetry Tele;
     obs::EventLog Log;
@@ -913,10 +956,16 @@ TEST(Parallel, ResultsAndObservationsMergeInIndexOrder) {
       obs::counterAdd("task.count");
       obs::counterAdd("task.index_sum", static_cast<double>(I));
       obs::logEvent("task.done", "task:" + std::to_string(I));
+      for (int K = 0; K < (I == 0 ? 1 : 2); ++K) {
+        obs::histRecord("task.tiny", I == 0 ? 1.0 : Tiny);
+        obs::counterAdd("task.tiny_sum", I == 0 ? 1.0 : Tiny);
+      }
       Squares[I] = I * I;
     });
     Log.uninstall();
     Tele.uninstall();
+    TinyHistSums.push_back(Tele.histograms().at("task.tiny").Sum);
+    TinyCounters.push_back(Tele.counters().at("task.tiny_sum"));
 
     EXPECT_EQ(Tele.counters().at("task.count"), 8.0) << "jobs " << Jobs;
     EXPECT_EQ(Tele.counters().at("task.index_sum"), 28.0) << "jobs " << Jobs;
@@ -929,6 +978,13 @@ TEST(Parallel, ResultsAndObservationsMergeInIndexOrder) {
       EXPECT_EQ(Phases[I]->Name, "task." + Id) << "jobs " << Jobs;
       EXPECT_EQ(Log.events()[I].Prov, "task:" + Id) << "jobs " << Jobs;
     }
+  }
+  // Bit for bit what the serial run (Jobs 1) added up.
+  EXPECT_EQ(TinyHistSums[0], 1.0);
+  EXPECT_EQ(TinyCounters[0], 1.0);
+  for (size_t J = 1; J < TinyHistSums.size(); ++J) {
+    EXPECT_EQ(TinyHistSums[J], TinyHistSums[0]) << "run " << J;
+    EXPECT_EQ(TinyCounters[J], TinyCounters[0]) << "run " << J;
   }
 }
 
@@ -1001,6 +1057,37 @@ TEST(Parallel, NestedCallRunsInlineOnItsWorkersTrack) {
       EXPECT_EQ(Events[Task * 5 + J].Track, OuterSpan.Track);
     }
   }
+}
+
+TEST(Parallel, EachWorkerRecordsIntoOneJournalAcrossCalls) {
+  // Every task a worker runs records into that worker's one journal and
+  // one log, in every call; the caller's contexts only see replays.
+  obs::Telemetry Tele;
+  obs::EventLog Log;
+  Tele.install();
+  Log.install();
+  std::mutex M;
+  std::map<std::thread::id, std::set<const void *>> Recorders;
+  for (int Call = 0; Call < 3; ++Call)
+    obs::parallelFor(2, 16, [&](size_t) {
+      obs::counterAdd("task.count");
+      std::lock_guard<std::mutex> L(M);
+      auto &Mine = Recorders[std::this_thread::get_id()];
+      Mine.insert(obs::Telemetry::active());
+      Mine.insert(obs::EventLog::active());
+    });
+  Log.uninstall();
+  Tele.uninstall();
+  EXPECT_EQ(Tele.counters().at("task.count"), 48.0);
+  std::set<const void *> All;
+  for (const auto &[Thread, Mine] : Recorders) {
+    EXPECT_NE(Thread, std::this_thread::get_id());
+    EXPECT_EQ(Mine.size(), 2u);
+    All.insert(Mine.begin(), Mine.end());
+  }
+  EXPECT_EQ(All.size(), 2 * Recorders.size());
+  EXPECT_EQ(All.count(&Tele), 0u);
+  EXPECT_EQ(All.count(&Log), 0u);
 }
 
 TEST(Parallel, TaskExceptionReachesCaller) {

@@ -24,6 +24,7 @@
 #include "obs/Telemetry.h"
 #include "service/Cache.h"
 #include "service/Service.h"
+#include "suite/Suite.h"
 #include "support/Hash.h"
 #include "support/Json.h"
 
@@ -678,6 +679,26 @@ TEST(Service, SourceBytesStayWithinTheCacheBudget) {
     EXPECT_GT(S.caches().Sources.size(), 0u) << "jobs " << Jobs;
     EXPECT_LE(S.caches().Sources.bytes(), Small.CacheBudgetBytes)
         << "jobs " << Jobs;
+  }
+}
+
+/// A cfg entry co-owns its AST, so the cfg tier pays for that AST too:
+/// over the suite's programs it charges at least what the ast tier does.
+TEST(Service, CfgEntriesChargeTheAstTheyHold) {
+  std::vector<std::string> Stream;
+  for (const SuiteProgram &P : benchmarkSuite())
+    Stream.push_back(parseRequestLine(P.Source.c_str()));
+  ASSERT_EQ(Stream.size(), 14u);
+  for (unsigned Jobs : {1u, 8u}) {
+    ServiceOptions Opts;
+    Opts.Jobs = Jobs;
+    Service S(Opts);
+    S.handleBatch(Stream);
+    const CacheTierStats Ast = S.caches().Ast.stats();
+    const CacheTierStats Cfg = S.caches().Cfg.stats();
+    EXPECT_EQ(Ast.Entries, Stream.size()) << "jobs " << Jobs;
+    EXPECT_EQ(Cfg.Entries, Stream.size()) << "jobs " << Jobs;
+    EXPECT_GE(Cfg.Bytes, Ast.Bytes) << "jobs " << Jobs;
   }
 }
 
