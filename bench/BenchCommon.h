@@ -89,14 +89,12 @@ inline ProgramEstimate estimateWith(const CompiledSuiteProgram &P,
 inline std::string pct(double Fraction) { return formatPercent(Fraction); }
 
 //===----------------------------------------------------------------------===//
-// Synthetic request workload — shared by the service-shaped benches.
+// Synthetic request workload — bench_service's request model.
 //
-// bench_service and bench_pipeline_latency both model the stream of
-// requests an analysis service sees: a pool of genprog-shaped programs
-// whose popularity follows a zipfian rank-frequency law (a few hot
-// sources dominate, a long tail recurs rarely), crossed with a weighted
-// mix of service operations. One helper so both benches — and any
-// future replay tool — agree on what "the workload" means.
+// The stream of requests an analysis service sees: a pool of
+// genprog-shaped programs whose popularity follows a zipfian
+// rank-frequency law (a few hot sources dominate, a long tail recurs
+// rarely), crossed with a weighted mix of service operations.
 //===----------------------------------------------------------------------===//
 
 /// Zipfian rank sampler over [0, Count): rank R is drawn with

@@ -16,9 +16,8 @@
 /// sest-interp-tiers/1 document: per-program wall times for all tiers,
 /// the native host-cc compile cost, and the compile+run amortization
 /// curve (after how many runs does paying the native compile beat
-/// re-running the bytecode VM). That file is the checked-in
-/// bench/interp_tiers.json baseline check_perf.py and bench_history.py
-/// read.
+/// re-running the bytecode VM). CI's advisory native-over-bytecode
+/// floor (3x) reads its suite.bytecode_over_native.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -20,9 +20,10 @@
 /// records into the installed Telemetry), the warm-over-cold speedup,
 /// and the warm service's per-tier cache counters.
 ///
-/// `--json FILE` writes the sest-service-throughput/1 artifact;
-/// the checked-in baseline lives at bench/service_throughput.json and
-/// scripts/check_perf.py enforces the >= 5x warm-over-cold floor.
+/// It writes no artifact and gates nothing. It stays because it is the
+/// only in-process sweep over `--jobs N`: the service's worker-scaling
+/// numbers (ROADMAP item 2) come from it, while perfbench runs sestd at
+/// one job count. It can go once perfbench has such a sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,18 +155,6 @@ void addPhaseRow(TextTable &T, const char *Name, const PhaseResult &R) {
             formatDouble(R.Latency.p99(), 1)});
 }
 
-void writePhase(JsonWriter &W, const char *Name, const PhaseResult &R) {
-  W.key(Name).beginObject();
-  W.member("requests", R.Requests)
-      .member("bad_responses", R.BadResponses)
-      .member("seconds", R.Seconds)
-      .member("rps", R.Rps)
-      .member("p50_us", R.Latency.p50())
-      .member("p90_us", R.Latency.p90())
-      .member("p99_us", R.Latency.p99());
-  W.endObject();
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -174,12 +163,9 @@ int main(int argc, char **argv) {
   size_t BatchSize = 256;
   unsigned Jobs = 0; // hardware concurrency
   WorkloadConfig WC;
-  std::string JsonPath;
   for (int I = 1; I + 1 < argc; ++I) {
     std::string_view Arg = argv[I];
-    if (Arg == "--json")
-      JsonPath = argv[I + 1];
-    else if (Arg == "--requests")
+    if (Arg == "--requests")
       Requests = std::strtoull(argv[I + 1], nullptr, 10);
     else if (Arg == "--cold-requests")
       ColdRequests = std::strtoull(argv[I + 1], nullptr, 10);
@@ -269,40 +255,5 @@ int main(int argc, char **argv) {
               std::to_string(St.Bytes), std::to_string(St.Entries)});
   }
   out("\n" + C.str());
-
-  if (!JsonPath.empty()) {
-    JsonWriter W;
-    W.beginObject();
-    W.member("schema", "sest-service-throughput/1");
-    W.member("requests", static_cast<uint64_t>(Requests));
-    W.member("pool", static_cast<uint64_t>(WC.PoolSize));
-    W.member("target_blocks", static_cast<uint64_t>(WC.TargetBlocks));
-    W.member("unique_requests", static_cast<uint64_t>(Lines.size()));
-    W.member("batch", static_cast<uint64_t>(BatchSize));
-    W.member("jobs", static_cast<uint64_t>(ResolvedJobs));
-    writePhase(W, "cold", Cold);
-    writePhase(W, "warm", Warm);
-    W.member("warm_speedup", Speedup);
-    W.key("cache").beginObject();
-    for (const service::ShardedCache *Tier : WarmService.caches().all()) {
-      service::CacheTierStats St = Tier->stats();
-      W.key(Tier->tier()).beginObject();
-      W.member("hit", St.Hits)
-          .member("miss", St.Misses)
-          .member("evict", St.Evictions)
-          .member("bytes", St.Bytes)
-          .member("entries", St.Entries);
-      W.endObject();
-    }
-    W.endObject();
-    W.endObject();
-    std::ofstream OutFile(JsonPath);
-    if (!OutFile) {
-      out("bench: cannot write '" + JsonPath + "'\n");
-      return 1;
-    }
-    OutFile << W.take();
-    out("\nthroughput artifact written to " + JsonPath + "\n");
-  }
   return 0;
 }

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Regenerates every reproduced table and figure plus the test evidence,
-# and refreshes the checked-in baselines (bench/suite_report.json,
-# bench/accuracy_report.json, bench/opt_report.json,
-# bench/tune_report.json and the bench JSON files below). Baselines
-# must come from a Release build:
-# wall times from an unoptimized build are misleading, and mixing build
-# types makes the perf baseline incomparable — so this script configures
-# Release and fails loudly if the build directory disagrees.
+# and refreshes the checked-in reports (bench/suite_report.json,
+# bench/accuracy_report.json, bench/opt_report.json and
+# bench/tune_report.json). They must come from a Release build: wall
+# times from an unoptimized build are misleading, so this script
+# configures Release and fails loudly if the build directory disagrees.
+# Speed is not baselined here: scripts/perf_ab.py compares a change
+# with its parent on the same machine, and its records go to
+# bench/history.jsonl.
 # Usage: scripts/regenerate.sh [build-dir]
 set -euo pipefail
 
@@ -37,8 +38,9 @@ for b in "$BUILD"/bench/bench_*; do
 done 2>&1 | tee bench_output.txt
 
 # Refresh the checked-in suite run report (per-program compile time,
-# per-input wall time and resource usage) — the trajectory baseline —
-# the accuracy baseline (per-entity divergence attribution; see
+# per-input wall time and resource usage; its step counts are held
+# exact by Baselines.SuiteStepCountsMatchTheCheckedInReport), the
+# accuracy baseline (per-entity divergence attribution; see
 # docs/OBSERVABILITY.md) and the optimizer baseline (static vs profile
 # vs oracle layout / inlining outcomes; see docs/OPTIMIZATION.md). The
 # accuracy and optimizer documents have no wall-clock fields, so they
@@ -53,19 +55,3 @@ done 2>&1 | tee bench_output.txt
 # the pass-pipeline configuration space; see docs/TUNING.md). Also
 # byte-deterministic and byte-compared in CI.
 "$BUILD"/tools/sestune --report bench/tune_report.json
-
-# Refresh the pipeline stage latency baseline (per-stage p50/p90/p99;
-# advisory guard in scripts/check_perf.py). Wall-clock, so expect the
-# numbers to move between machines — the guard has 3x slack.
-"$BUILD"/bench/bench_pipeline_latency --json bench/pipeline_latency.json
-
-# Refresh the service throughput baseline (cold vs warm over the
-# million-request zipfian mix; see docs/SERVICE.md). The warm-over-cold
-# speedup floor in scripts/check_perf.py is machine-independent; the
-# absolute req/s numbers are wall-clock.
-"$BUILD"/bench/bench_service --json bench/service_throughput.json
-
-# Record the refreshed headline numbers (service rps, solver speedup,
-# stage p99s) in the bench history, with deltas vs the previous entry
-# (see scripts/bench_history.py; history is bench/history.jsonl).
-python3 "$ROOT"/scripts/bench_history.py

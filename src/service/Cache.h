@@ -9,9 +9,9 @@
 /// for request sources and key fields, and a mutex-striped,
 /// byte-budgeted LRU map from cache keys to immutable, shared analysis
 /// artifacts. One ShardedCache instance backs
-/// one *tier* (ASTs, CFGs+call graphs, branch tables, Markov solves, opt
-/// plans, rendered responses); the CacheSet in Service.h groups the
-/// service's tiers.
+/// one *tier* (ASTs, CFGs+call graphs, branch tables, Markov solves,
+/// native artifacts, rendered responses); the CacheSet in Service.h
+/// groups the service's tiers.
 ///
 /// Design constraints, in order:
 ///

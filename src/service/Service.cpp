@@ -37,16 +37,15 @@ using namespace sest::service;
 
 CacheSet::CacheSet(size_t BudgetBytes, unsigned Shards)
     : Sources(Shards, /*Digests=*/true), Fields(Shards),
-      Ast("ast", BudgetBytes / 7, Shards),
-      Cfg("cfg", BudgetBytes / 7, Shards),
-      Branch("branch", BudgetBytes / 7, Shards),
-      Solve("solve", BudgetBytes / 7, Shards),
-      Plan("plan", BudgetBytes / 7, Shards),
-      Native("native", BudgetBytes / 7, Shards),
-      Response("response", BudgetBytes / 7, Shards) {}
+      Ast("ast", BudgetBytes / 6, Shards),
+      Cfg("cfg", BudgetBytes / 6, Shards),
+      Branch("branch", BudgetBytes / 6, Shards),
+      Solve("solve", BudgetBytes / 6, Shards),
+      Native("native", BudgetBytes / 6, Shards),
+      Response("response", BudgetBytes / 6, Shards) {}
 
 std::vector<const ShardedCache *> CacheSet::all() const {
-  return {&Ast, &Cfg, &Branch, &Solve, &Plan, &Native, &Response};
+  return {&Ast, &Cfg, &Branch, &Solve, &Native, &Response};
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,6 +185,10 @@ bool isControlOp(const Request &R) {
 bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
                            std::string &Error) {
   for (const auto &[K, Val] : V.Members) {
+    if ((K == "intra" || K == "inter" || K == "solver") && !Val.isString()) {
+      Error = "option '" + K + "' must be a string";
+      return false;
+    }
     if (K == "intra") {
       if (!parseIntraEstimator(Val.StringVal, O.Est.Intra)) {
         Error = "unknown intra estimator '" + Val.StringVal + "'";
@@ -214,11 +217,15 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
     } else if (K == "taken_probability") {
       if (!Val.isNumber() || Val.NumberVal <= 0.0 ||
           Val.NumberVal >= 1.0) {
-        Error = "taken_probability must be in (0, 1)";
+        Error = "taken_probability must be a number in (0, 1)";
         return false;
       }
       O.Est.Branch.TakenProbability = Val.NumberVal;
     } else if (K == "constant_loop_bounds") {
+      if (!Val.isBool()) {
+        Error = "option 'constant_loop_bounds' must be a boolean";
+        return false;
+      }
       O.Est.Branch.UseConstantLoopBounds = Val.BoolVal;
       O.Est.MarkovIntra_.Branch.UseConstantLoopBounds = Val.BoolVal;
     } else {
@@ -232,6 +239,49 @@ bool parseEstimatorOptions(const JsonValue &V, RequestOptions &O,
   return true;
 }
 
+/// The request fields of the protocol and the JSON type of each. A
+/// field outside this table, or of another type, gets an in-band error:
+/// a value dropped on the floor would answer a request the client did not
+/// send. `seed` and `budget` are checked by their integer readers.
+struct FieldType {
+  std::string_view Name;
+  JsonValue::Kind Kind;
+  const char *Expected; ///< Null: checked by the field's own reader.
+};
+
+constexpr FieldType RequestFields[] = {
+    {"op", JsonValue::Kind::String, "a string"},
+    {"id", JsonValue::Kind::Number, "a number"},
+    {"source", JsonValue::Kind::String, "a string"},
+    {"options", JsonValue::Kind::Object, "an object"},
+    {"blocks", JsonValue::Kind::Bool, "a boolean"},
+    {"passes", JsonValue::Kind::String, "a string"},
+    {"input", JsonValue::Kind::String, "a string"},
+    {"seed", JsonValue::Kind::Number, nullptr},
+    {"engine", JsonValue::Kind::String, "a string"},
+    {"budget", JsonValue::Kind::Number, nullptr},
+    {"oracles", JsonValue::Kind::String, "a string"},
+    {"scope", JsonValue::Kind::String, "a string"},
+};
+
+bool checkFieldTypes(const JsonValue &Doc, std::string &Error) {
+  for (const auto &[Key, Val] : Doc.Members) {
+    const FieldType *Field = nullptr;
+    for (const FieldType &F : RequestFields)
+      if (F.Name == Key)
+        Field = &F;
+    if (!Field) {
+      Error = "unknown field '" + Key + "'";
+      return false;
+    }
+    if (Field->Expected && Val.K != Field->Kind) {
+      Error = "'" + Key + "' must be " + Field->Expected;
+      return false;
+    }
+  }
+  return true;
+}
+
 Request parseRequest(const std::string &Line, InternTable &Sources) {
   Request R;
   std::optional<JsonValue> Doc = parseJson(Line);
@@ -239,53 +289,57 @@ Request parseRequest(const std::string &Line, InternTable &Sources) {
     R.Error = "request is not a JSON object";
     return R;
   }
-  const JsonValue *Op = Doc->find("op");
-  if (!Op || !Op->isString()) {
-    R.Error = "missing string field 'op'";
-    return R;
-  }
-  R.Op = Op->StringVal;
-  for (const OpInfo &Info : Ops)
-    if (Info.Name == R.Op)
-      R.Info = &Info;
+  // The envelope of any error echoes the id and the op when they are
+  // well-typed.
   if (const JsonValue *Id = Doc->find("id"); Id && Id->isNumber()) {
     R.HasId = true;
     R.Id = Id->NumberVal;
   }
+  const JsonValue *Op = Doc->find("op");
+  if (Op && Op->isString())
+    R.Op = Op->StringVal;
+  if (!checkFieldTypes(*Doc, R.Error))
+    return R;
+  if (!Op) {
+    R.Error = "missing string field 'op'";
+    return R;
+  }
+  for (const OpInfo &Info : Ops)
+    if (Info.Name == R.Op)
+      R.Info = &Info;
   if (!R.Info) {
     R.Error = "unknown op '" + R.Op + "'";
     return R;
   }
+  uint64_t Budget = R.Budget;
+  if (!readIntegerField(*Doc, "seed", 0.0, 0x1p64, "[0, 2^64)", R.Seed,
+                        R.Error) ||
+      !readIntegerField(*Doc, "budget", 1.0, 0x1p32, "[1, 2^32)", Budget,
+                        R.Error))
+    return R;
+  R.Budget = static_cast<uint32_t>(Budget);
   if (!R.Info->NeedsSource) {
-    if (R.Op == "metrics") {
-      if (const JsonValue *S = Doc->find("scope")) {
-        if (!S->isString() || (S->StringVal != "live" &&
-                               S->StringVal != "deterministic")) {
-          R.Error = "metrics scope must be 'live' or 'deterministic'";
-          return R;
-        }
-        R.Scope = S->StringVal;
+    if (const JsonValue *S = Doc->find("scope"); S && R.Op == "metrics") {
+      if (S->StringVal != "live" && S->StringVal != "deterministic") {
+        R.Error = "metrics scope must be 'live' or 'deterministic'";
+        return R;
       }
+      R.Scope = S->StringVal;
     }
     return R;
   }
   JsonValue *Source = Doc->find("source");
-  if (!Source || !Source->isString()) {
+  if (!Source) {
     R.Error = "missing string field 'source'";
     return R;
   }
   R.Src = Sources.intern(std::move(Source->StringVal));
-  if (const JsonValue *Opts = Doc->find("options")) {
-    if (!Opts->isObject()) {
-      R.Error = "'options' must be an object";
-      return R;
-    }
+  if (const JsonValue *Opts = Doc->find("options"))
     if (!parseEstimatorOptions(*Opts, R.Opts, R.Error))
       return R;
-  }
-  if (const JsonValue *B = Doc->find("blocks"); B && B->isBool())
+  if (const JsonValue *B = Doc->find("blocks"))
     R.Blocks = B->BoolVal;
-  if (const JsonValue *P = Doc->find("passes"); P && P->isString()) {
+  if (const JsonValue *P = Doc->find("passes")) {
     R.Passes = P->StringVal;
     if (R.Passes != "layout" && R.Passes != "inline" &&
         R.Passes != "all") {
@@ -293,15 +347,11 @@ Request parseRequest(const std::string &Line, InternTable &Sources) {
       return R;
     }
   }
-  if (JsonValue *I = Doc->find("input"); I && I->isString())
+  if (JsonValue *I = Doc->find("input"))
     R.Input = std::move(I->StringVal);
-  if (!readIntegerField(*Doc, "seed", 0.0, 0x1p64, "[0, 2^64)", R.Seed,
-                        R.Error))
-    return R;
   if (const JsonValue *E = Doc->find("engine")) {
-    if (!E->isString() || (E->StringVal != "ast" &&
-                           E->StringVal != "bytecode" &&
-                           E->StringVal != "native")) {
+    if (E->StringVal != "ast" && E->StringVal != "bytecode" &&
+        E->StringVal != "native") {
       R.Error = "engine must be 'ast', 'bytecode', or 'native'";
       return R;
     }
@@ -314,18 +364,8 @@ Request parseRequest(const std::string &Line, InternTable &Sources) {
       R.Error = "tune engine must be 'ast' or 'bytecode'";
       return R;
     }
-    uint64_t Budget = R.Budget;
-    if (!readIntegerField(*Doc, "budget", 1.0, 0x1p32, "[1, 2^32)", Budget,
-                          R.Error))
-      return R;
-    R.Budget = static_cast<uint32_t>(Budget);
-    if (const JsonValue *O = Doc->find("oracles")) {
-      if (!O->isString()) {
-        R.Error = "'oracles' must be a comma-separated string";
-        return R;
-      }
+    if (const JsonValue *O = Doc->find("oracles"))
       R.Oracles = O->StringVal;
-    }
     std::string Rest = R.Oracles;
     while (!Rest.empty()) {
       size_t Comma = Rest.find(',');
@@ -749,29 +789,32 @@ std::string reportResultJson(CacheSet &Caches, const Request &R,
   return W.take();
 }
 
-/// The semantic key fields of a cacheable request, beside its source: op
-/// + every knob that can change the result. Deliberately NOT the raw
-/// line — field order and the echoed id must not fragment the response
-/// tier.
+/// The response key's fields beside its source: the op and the request
+/// fields that op reads, so a field the op ignores cannot fragment the
+/// response tier. Deliberately NOT the raw line — field order and the
+/// echoed id must not fragment it either.
 std::string responseFields(const Request &R) {
   HashBuilder H("response");
   H.add(R.Op);
-  R.Opts.addFields(H)
-      .addBool(R.Blocks)
-      .add(R.Passes)
-      .add(R.Input)
-      .addU64(R.Seed)
-      .add(R.Engine)
-      .addU64(R.Budget)
-      .add(R.Oracles);
+  if (R.Op == "estimate")
+    R.Opts.addFields(H).addBool(R.Blocks);
+  else if (R.Op == "optimize")
+    R.Opts.addFields(H).add(R.Passes);
+  else if (R.Op == "report")
+    R.Opts.addFields(H).add(R.Input).addU64(R.Seed).add(R.Engine);
+  else if (R.Op == "tune")
+    H.add(R.Input)
+        .addU64(R.Seed)
+        .addU64(R.Budget)
+        .add(R.Oracles)
+        .add(R.Engine);
   return H.take();
 }
 
 /// The `tune` result: the full sest-tune-report/1 document for the
 /// request's source, as produced by the autotuner over a synthesized
 /// train/eval input pair (tune::tuneSource). Deterministic — same
-/// source + knobs -> same bytes — so it lives in the plan tier under
-/// its own key domain.
+/// source + knobs -> same bytes — so the response tier holds it.
 std::string tuneResultJson(const Request &R) {
   tune::TuneOptions O;
   O.Budget = R.Budget;
@@ -791,7 +834,7 @@ std::string tuneResultJson(const Request &R) {
 }
 
 /// Computes the response body for one cacheable op (parse / estimate /
-/// optimize / report), walking the artifact tiers top-down so every
+/// optimize / report / tune), walking the artifact tiers top-down so every
 /// stage that is already cached is skipped.
 ResponseBody buildBody(CacheSet &Caches, const Request &R) {
   ResponseBody Body;
@@ -807,28 +850,9 @@ ResponseBody buildBody(CacheSet &Caches, const Request &R) {
     return Body;
   }
   if (R.Op == "tune") {
-    // Tune reports share the plan tier (they are optimizer decision
-    // documents too) under their own key domain.
-    std::string Fields = HashBuilder("tune")
-                             .add(R.Input)
-                             .addU64(R.Seed)
-                             .addU64(R.Budget)
-                             .add(R.Oracles)
-                             .add(R.Engine)
-                             .take();
-    std::shared_ptr<const std::string> Doc =
-        Caches.Plan.getAs<std::string>({R.Src, Fields});
-    if (Doc) {
-      logCacheEvent(R, "plan", true);
-    } else {
-      obs::ScopedPhase Phase("service.build.tune");
-      Doc = std::make_shared<const std::string>(tuneResultJson(R));
-      logCacheEvent(R, "plan", false, Doc->size());
-      putCharged(Caches, Caches.Plan, R, std::move(Fields), Doc,
-                 sizeof(std::string) + Doc->size());
-    }
+    obs::ScopedPhase Phase("service.build.tune");
     Body.Ok = true;
-    Body.ResultJson = *Doc;
+    Body.ResultJson = tuneResultJson(R);
     return Body;
   }
   std::shared_ptr<const BranchArtifact> Branch =
@@ -839,24 +863,9 @@ ResponseBody buildBody(CacheSet &Caches, const Request &R) {
     Body.Ok = true;
     Body.ResultJson = estimateResultJson(R, *Cfg, *Solve);
   } else if (R.Op == "optimize") {
-    // Plans get their own tier: they depend on `passes` on top of the
-    // solve, and rendering them walks the optimizer.
-    HashBuilder H("plan");
-    std::string Fields = R.Opts.addFields(H).add(R.Passes).take();
-    std::shared_ptr<const std::string> Plan =
-        Caches.Plan.getAs<std::string>({R.Src, Fields});
-    if (Plan) {
-      logCacheEvent(R, "plan", true);
-    } else {
-      obs::ScopedPhase Phase("service.build.plan");
-      Plan = std::make_shared<const std::string>(
-          optimizeResultJson(R, *Cfg, *Solve));
-      logCacheEvent(R, "plan", false, Plan->size());
-      putCharged(Caches, Caches.Plan, R, std::move(Fields), Plan,
-                 sizeof(std::string) + Plan->size());
-    }
+    obs::ScopedPhase Phase("service.build.plan");
     Body.Ok = true;
-    Body.ResultJson = *Plan;
+    Body.ResultJson = optimizeResultJson(R, *Cfg, *Solve);
   } else { // report
     Body.Ok = true;
     Body.ResultJson = reportResultJson(Caches, R, *Cfg, *Solve);

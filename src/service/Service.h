@@ -42,13 +42,12 @@
 ///   cfg       CFGs + call graph (co-owns its AST entry)
 ///   branch    branch-prediction tables
 ///   solve     sparse-Markov solve results (whole ProgramEstimates)
-///   plan      optimizer plans (layout / hints / inline selection) and
-///             tune reports (autotuner runs, own key domain)
 ///   native    loaded compile-to-C artifacts for engine:"native" reports
 ///             (compile failures are cached too — rejecting is as
 ///             deterministic as accepting)
-///   response  rendered response bodies, keyed by op + source + every
-///             knob that can change the result (not the raw line)
+///   response  rendered response bodies (optimizer plans and tune
+///             reports included), keyed by op + source + the fields that
+///             op reads (not the raw line)
 ///
 /// Determinism contract (extends the repo-wide one to the service
 /// layer): a request's response is byte-identical whether it is served
@@ -83,19 +82,19 @@ struct ServiceOptions {
   /// Worker threads per batch (obs::parallelFor: 0 = one per core,
   /// 1 = serial). Responses are byte-identical for every value.
   unsigned Jobs = 1;
-  /// Total cache byte budget, split evenly across the seven tiers
+  /// Total cache byte budget, split evenly across the six tiers
   /// (0 disables memoization entirely — every request recomputes).
   size_t CacheBudgetBytes = 256u << 20;
   /// Mutex stripes per tier.
   unsigned CacheShards = 16;
 };
 
-/// The seven cache tiers of one service instance, and the tables their
+/// The six cache tiers of one service instance, and the tables their
 /// keys' sources and fields are interned in.
 struct CacheSet {
   /// Declared first, so they outlive every key in the tiers.
   InternTable Sources, Fields;
-  ShardedCache Ast, Cfg, Branch, Solve, Plan, Native, Response;
+  ShardedCache Ast, Cfg, Branch, Solve, Native, Response;
 
   CacheSet(size_t BudgetBytes, unsigned Shards);
   /// Tier pointers in stable report order.

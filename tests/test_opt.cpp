@@ -610,13 +610,20 @@ TEST(OptReportRuns, NonDefaultProfilingOptionsAreNotScored) {
             std::string::npos);
 }
 
-/// The "suite" object of a checked-in bench report.
-JsonValue baselineSuite(const char *Name) {
+/// A checked-in bench report.
+JsonValue benchReport(const char *Name) {
   std::ifstream In(std::string(SEST_BENCH_DIR) + "/" + Name);
   std::stringstream SS;
   SS << In.rdbuf();
   std::optional<JsonValue> Doc = parseJson(SS.str());
-  const JsonValue *Suite = Doc ? Doc->find("suite") : nullptr;
+  EXPECT_TRUE(Doc.has_value()) << Name;
+  return Doc ? *Doc : JsonValue{};
+}
+
+/// The "suite" object of a checked-in bench report.
+JsonValue baselineSuite(const char *Name) {
+  const JsonValue Doc = benchReport(Name);
+  const JsonValue *Suite = Doc.find("suite");
   EXPECT_NE(Suite, nullptr) << Name;
   return Suite ? *Suite : JsonValue{};
 }
@@ -644,6 +651,39 @@ TEST(Baselines, CheckedInReportsMeetTheirFloors) {
   EXPECT_GE(Tune.numberOr("static_search_recovery", 0.0), 0.7);
   EXPECT_TRUE(flag(&Tune, "meets_floor"));
   EXPECT_TRUE(flag(&Tune, "all_verified"));
+}
+
+TEST(Baselines, SuiteStepCountsMatchTheCheckedInReport) {
+  // Step counts are deterministic, and every engine counts the same ones
+  // (NativeDiffTest), so each input run of bench/suite_report.json is
+  // held to its steps exactly, on the engine the report names.
+  const JsonValue Report = benchReport("suite_report.json");
+  const JsonValue *Engine = Report.find("engine");
+  ASSERT_TRUE(Engine && Engine->isString());
+  ASSERT_EQ(Engine->StringVal, "bytecode");
+  const JsonValue *Programs = Report.find("programs");
+  ASSERT_TRUE(Programs && Programs->isArray());
+  InterpOptions O;
+  O.Engine = InterpEngine::Bytecode;
+  std::map<std::string, CompiledSuiteProgram> Fresh;
+  for (CompiledSuiteProgram &P : compileAndProfileSuite(O, 0))
+    Fresh.emplace(P.Spec->Name, std::move(P));
+  ASSERT_EQ(Fresh.size(), Programs->Items.size());
+  for (const JsonValue &P : Programs->Items) {
+    const JsonValue *Name = P.find("name");
+    ASSERT_TRUE(Name && Name->isString());
+    auto It = Fresh.find(Name->StringVal);
+    ASSERT_NE(It, Fresh.end()) << Name->StringVal;
+    ASSERT_TRUE(It->second.Ok) << It->second.Error;
+    const JsonValue *Runs = P.find("runs");
+    ASSERT_TRUE(Runs && Runs->isArray()) << Name->StringVal;
+    const std::vector<SuiteRunStats> &Stats = It->second.RunStats;
+    ASSERT_EQ(Runs->Items.size(), Stats.size()) << Name->StringVal;
+    for (size_t I = 0; I < Stats.size(); ++I)
+      EXPECT_EQ(static_cast<int64_t>(Runs->Items[I].numberOr("steps", -1)),
+                static_cast<int64_t>(Stats[I].Steps))
+          << Name->StringVal << " input " << Stats[I].InputName;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -233,7 +233,7 @@ std::string optimizeRequest(const char *Source) {
 TEST_BOTH_DIGESTS(OneTokenEditMissesEveryTier) {
   Service S;
   // optimize walks every tier except native (ast, cfg, branch, solve,
-  // plan, response); only engine:"native" reports touch that one.
+  // response); only engine:"native" reports touch that one.
   EXPECT_TRUE(S.handle(optimizeRequest(SourceA)).find("\"ok\":true") !=
               std::string::npos);
   // Every tier now holds SourceA's artifacts. The edited program must
@@ -294,6 +294,9 @@ TEST_BOTH_DIGESTS(WarmResponsesAreByteIdentical) {
           jsonEscape(SourceA) + "\",\"input\":\"12\"}",
   };
   std::vector<std::string> Cold = S.handleBatch(Requests);
+  std::vector<CacheTierStats> Before;
+  for (const ShardedCache *C : S.caches().all())
+    Before.push_back(C->stats());
   std::vector<std::string> Warm = S.handleBatch(Requests);
   ASSERT_EQ(Cold.size(), Warm.size());
   for (size_t I = 0; I < Cold.size(); ++I) {
@@ -301,13 +304,56 @@ TEST_BOTH_DIGESTS(WarmResponsesAreByteIdentical) {
         << Cold[I];
     EXPECT_EQ(Cold[I], Warm[I]) << "request " << I;
   }
-  // The second pass was actually served warm.
-  EXPECT_GT(S.caches().Response.stats().Hits, 0u);
+  // The warm pass built nothing: every request was one response hit,
+  // and no tier missed.
+  size_t I = 0;
+  for (const ShardedCache *C : S.caches().all()) {
+    CacheTierStats After = C->stats();
+    EXPECT_EQ(After.Misses, Before[I].Misses) << "tier " << C->tier();
+    EXPECT_EQ(After.Hits - Before[I].Hits,
+              C->tier() == "response" ? Requests.size() : 0u)
+        << "tier " << C->tier();
+    ++I;
+  }
+}
+
+/// A field its op does not read is not part of the response key: a
+/// repeat that adds one is a response hit and builds nothing.
+TEST_BOTH_DIGESTS(IgnoredFieldsShareTheResponseEntry) {
+  const std::string Src = jsonEscape(SourceA);
+  const std::pair<std::string, std::vector<const char *>> Cases[] = {
+      {"{\"op\":\"optimize\",\"source\":\"" + Src + "\",\"passes\":\"all\"",
+       {",\"seed\":5", ",\"blocks\":true", ",\"input\":\"3\""}},
+      {"{\"op\":\"tune\",\"source\":\"" + Src +
+           "\",\"input\":\"12\",\"budget\":2",
+       {",\"blocks\":true", ",\"passes\":\"layout\"",
+        ",\"options\":{\"intra\":\"markov\"}"}},
+  };
+  for (const auto &[Base, Extras] : Cases) {
+    Service S;
+    std::string Cold = S.handle(Base + "}");
+    EXPECT_NE(Cold.find("\"ok\":true"), std::string::npos) << Cold;
+    for (const char *Extra : Extras) {
+      std::vector<CacheTierStats> Before;
+      for (const ShardedCache *C : S.caches().all())
+        Before.push_back(C->stats());
+      EXPECT_EQ(S.handle(Base + Extra + "}"), Cold) << Extra;
+      size_t I = 0;
+      for (const ShardedCache *C : S.caches().all()) {
+        CacheTierStats After = C->stats();
+        EXPECT_EQ(After.Misses, Before[I].Misses)
+            << Extra << ": tier " << C->tier();
+        uint64_t Hits = C->tier() == "response" ? 1 : 0;
+        EXPECT_EQ(After.Hits, Before[I].Hits + Hits)
+            << Extra << ": tier " << C->tier();
+        ++I;
+      }
+    }
+  }
 }
 
 /// The `tune` verb: cold, warm, and across job counts the report must
-/// be byte-identical, and a warm replay must hit the plan tier (where
-/// tune documents live under their own key domain).
+/// be byte-identical, and a warm replay is one response hit.
 TEST_BOTH_DIGESTS(TuneVerbIsByteIdenticalColdWarmAndAcrossJobs) {
   std::string Req = std::string("{\"op\":\"tune\",\"source\":\"") +
                     jsonEscape(SourceA) +
@@ -316,13 +362,12 @@ TEST_BOTH_DIGESTS(TuneVerbIsByteIdenticalColdWarmAndAcrossJobs) {
   std::string Cold = S.handle(Req);
   EXPECT_NE(Cold.find("\"ok\":true"), std::string::npos) << Cold;
   EXPECT_NE(Cold.find("sest-tune-report/1"), std::string::npos);
-  uint64_t PlanHitsBefore = S.caches().Plan.stats().Hits;
+  CacheTierStats Before = S.caches().Response.stats();
   std::string Warm = S.handle(Req);
   EXPECT_EQ(Cold, Warm);
-  // Warm was served from a tier (response or plan), not recomputed.
-  EXPECT_GT(S.caches().Response.stats().Hits +
-                S.caches().Plan.stats().Hits,
-            PlanHitsBefore);
+  // Warm was served from the response tier, not recomputed.
+  EXPECT_EQ(S.caches().Response.stats().Hits, Before.Hits + 1);
+  EXPECT_EQ(S.caches().Response.stats().Misses, Before.Misses);
 
   ServiceOptions O8;
   O8.Jobs = 8;
@@ -497,6 +542,40 @@ TEST(Service, MalformedRequestsFailCleanly) {
                      "\",\"input\":\"12\",\"seed\":18446744073709549568}")
                 .find("\"ok\":true"),
             std::string::npos);
+  // A known field of the wrong JSON type, or an unknown field, is an
+  // error naming the field, never a request served as if it were absent.
+  auto Estimate = [](const std::string &Fields) {
+    return std::string("{\"op\":\"estimate\",\"source\":\"") +
+           jsonEscape(SourceA) + "\"," + Fields + "}";
+  };
+  const std::pair<std::string, std::string> Typed[] = {
+      {Estimate("\"blocks\":1"), "'blocks' must be a boolean"},
+      {Estimate("\"blocks\":\"yes\""), "'blocks' must be a boolean"},
+      {Estimate("\"passes\":5"), "'passes' must be a string"},
+      {Estimate("\"input\":7"), "'input' must be a string"},
+      {Estimate("\"engine\":true"), "'engine' must be a string"},
+      {Estimate("\"options\":[]"), "'options' must be an object"},
+      {Estimate("\"options\":{\"constant_loop_bounds\":\"no\"}"),
+       "option 'constant_loop_bounds' must be a boolean"},
+      {Estimate("\"options\":{\"intra\":5}"),
+       "option 'intra' must be a string"},
+      {Estimate("\"options\":{\"taken_probability\":\"0.5\"}"),
+       "taken_probability must be a number"},
+      {Estimate("\"id\":\"a\""), "'id' must be a number"},
+      {Estimate("\"bogus\":1"), "unknown field 'bogus'"},
+      {"{\"op\":5}", "'op' must be a string"},
+      {"{\"op\":\"stats\",\"verbose\":true}", "unknown field 'verbose'"},
+      {"{\"op\":\"metrics\",\"scope\":1}", "'scope' must be a string"},
+      {"{\"op\":\"health\",\"seed\":\"1\"}", "must be an integer in"},
+  };
+  for (const auto &[Req, Error] : Typed) {
+    std::string Resp = S.handle(Req);
+    EXPECT_NE(Resp.find("\"ok\":false"), std::string::npos) << Req;
+    EXPECT_NE(Resp.find(Error), std::string::npos) << Req << ": " << Resp;
+  }
+  // The error envelope still echoes a numeric id.
+  EXPECT_NE(S.handle(Estimate("\"id\":9,\"blocks\":1")).find("\"id\":9"),
+            std::string::npos);
 }
 
 /// INT64_MIN / -1 and INT64_MIN % -1 trap in the host's integer divide.
@@ -639,7 +718,7 @@ TEST(Service, SourceTableIsBoundedByTheCache) {
     Stream.push_back(estimateRequest(
         ("int main() { return " + std::to_string(I) + "; }").c_str()));
   ServiceOptions Tiny;
-  Tiny.CacheBudgetBytes = 7 * 4096;
+  Tiny.CacheBudgetBytes = 6 * 4096;
   Tiny.CacheShards = 1;
   Service S(Tiny);
   S.handleBatch(Stream);
@@ -672,7 +751,7 @@ TEST(Service, SourceBytesStayWithinTheCacheBudget) {
   for (unsigned Jobs : {1u, 8u}) {
     ServiceOptions Small;
     Small.Jobs = Jobs;
-    Small.CacheBudgetBytes = 7 * 64 * 1024;
+    Small.CacheBudgetBytes = 6 * 64 * 1024;
     Small.CacheShards = 1;
     Service S(Small);
     S.handleBatch(Stream);
@@ -711,7 +790,7 @@ TEST_BOTH_DIGESTS(NativeArtifactsAreBoundedByTheTier) {
     GTEST_SKIP() << "native tier unavailable: " << Why;
   ServiceOptions Small;
   Small.CacheShards = 1;
-  Small.CacheBudgetBytes = 7 * 48 * 1024; // one ~35 KB C source per tier
+  Small.CacheBudgetBytes = 6 * 48 * 1024; // one ~35 KB C source per tier
   Service S(Small);
   for (int I = 0; I < 4; ++I) {
     std::string Src =

@@ -19,7 +19,8 @@
 ///  - every suite program and randomized synthetic CFGs: intra and
 ///    inter estimates identical across tiers;
 ///  - --jobs sweep: estimates, accuracy reports, and non-timing
-///    telemetry are identical for every worker count.
+///    telemetry are identical for every worker count;
+///  - speed: sparse is at least 5x faster than dense at 1000 blocks.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +35,9 @@
 #include "support/SparseMarkov.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <chrono>
 
 using namespace sest;
 using namespace sest::test;
@@ -259,6 +263,47 @@ TEST_P(SeededTest, SyntheticWideCallsInterTiersAgree) {
   auto C = compile(generateSyntheticSource(Config));
   ASSERT_TRUE(C);
   expectInterTiersAgree(*C, "synthetic-wide-calls");
+}
+
+/// The sparse solver's floor over the dense oracle: at least 5x faster
+/// on the 1000-block Mixed function that bench_analysis_time solves.
+/// Each time is the best of five solves, so load from other tests can
+/// only lengthen a sample, not decide the ratio.
+TEST(SparseMarkov, SparseIsFiveTimesFasterThanDenseAtAThousandBlocks) {
+  SyntheticConfig Config;
+  Config.Shape = SyntheticShape::Mixed;
+  Config.TargetBlocks = 1000;
+  Config.FunctionBlocks = 1000;
+  Config.Seed = 9;
+  auto C = compile(generateSyntheticSource(Config));
+  ASSERT_TRUE(C);
+  const Cfg *Biggest = nullptr;
+  for (const auto &[F, G] : C->Cfgs->all())
+    if (!Biggest || G->size() > Biggest->size())
+      Biggest = G;
+  ASSERT_GE(Biggest->size(), 1000u);
+  BranchPredictor Predictor((BranchPredictorConfig()));
+  FunctionBranchPredictions Predictions = Predictor.predictFunction(*Biggest);
+  auto BestUs = [&](MarkovSolverKind Kind) {
+    MarkovIntraConfig Solver;
+    Solver.Solver = Kind;
+    double Best = 0;
+    for (int I = 0; I < 5; ++I) {
+      auto Start = std::chrono::steady_clock::now();
+      MarkovIntraResult R =
+          markovBlockFrequencies(*Biggest, Solver, &Predictions);
+      double Us = std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - Start)
+                      .count();
+      EXPECT_EQ(R.BlockFrequencies.size(), Biggest->size());
+      Best = I == 0 ? Us : std::min(Best, Us);
+    }
+    return Best;
+  };
+  double Dense = BestUs(MarkovSolverKind::Dense);
+  double Sparse = BestUs(MarkovSolverKind::Sparse);
+  EXPECT_GE(Dense, 5.0 * Sparse)
+      << "dense " << Dense << " us, sparse " << Sparse << " us";
 }
 
 TEST(SparseMarkov, FallbackParityWithRepairDisabled) {
